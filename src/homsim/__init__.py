@@ -17,19 +17,11 @@ from .coherence import (
     overlap_sq,
     visibility,
 )
-from .detection import DetectionConfig, DetectionEvent, apply_detector, normalize, tac_mca_histogram
-from .emitter import PhotonEvent, PhotonStream, StreamConfig, empirical_g2, simulate_emission_stream
-from .fileio import RunConfig, default_run_config
-from .histogram import CorrelationHistogram, make_bin_edges
-from .interferometer import (
-    InterferometerConfig,
-    RoutedPhoton,
-    interfere_stream,
-    pair_interference_outcome,
-    route,
-    route_unpaired,
-)
-from .pipeline import run_replica, run_replicas
+from .detection import DetectionConfig, apply_detector, normalize, tac_mca_histogram
+from .emitter import PhotonStream, StreamConfig, simulate_emission_stream
+from .histogram import CorrelationHistogram, empirical_g2, make_bin_edges
+from .interferometer import InterferometerConfig, bunching_probability, interfere_stream, route
+from .pipeline import RunConfig, default_run_config, run_replica, run_replicas
 from .selftest import run_selftest
 
 __version__ = "0.1.0"
@@ -38,17 +30,15 @@ __all__ = [
     "BeamSplitterConfig",
     "CorrelationHistogram",
     "DetectionConfig",
-    "DetectionEvent",
     "EmitterParams",
     "HomFitResult",
     "INSTANTANEOUS",
     "InterferometerConfig",
-    "PhotonEvent",
     "PhotonStream",
-    "RoutedPhoton",
     "RunConfig",
     "StreamConfig",
     "apply_detector",
+    "bunching_probability",
     "convolve_irf",
     "default_run_config",
     "difference_curve",
@@ -61,10 +51,8 @@ __all__ = [
     "make_bin_edges",
     "normalize",
     "overlap_sq",
-    "pair_interference_outcome",
     "rebin",
     "route",
-    "route_unpaired",
     "run_replica",
     "run_replicas",
     "run_selftest",

@@ -12,14 +12,14 @@ import sys
 
 import numpy as np
 
-from . import analysis, coherence, detection, fileio, selftest
+from . import analysis, coherence, detection, fileio, pipeline, selftest
 from .coherence import BeamSplitterConfig, EmitterParams
 
 
 def _add_emitter_flags(sub, gamma_spon, gamma_pure, wp):
     sub.add_argument("--gamma-spon", type=float, default=gamma_spon, help="spontaneous decay rate (1/ns)")
     sub.add_argument("--gamma-pure", type=float, default=gamma_pure, help="pure dephasing rate (1/ns)")
-    sub.add_argument("--wp", type=float, default=wp, help="pump rate (1/ns)")
+    sub.add_argument("--wp", dest="w_p", type=float, default=wp, help="pump rate (1/ns)")
 
 
 def build_parser():
@@ -37,17 +37,18 @@ def build_parser():
     pa.add_argument("--out", default=None, help="output CSV path (default stdout)")
     pa.set_defaults(func=cmd_analytic)
 
+    # every dest but config and out is a config key (fileio.CONFIG_FIELDS)
     ps = sub.add_parser("simulate", help="run the Monte Carlo pipeline and write tags + histogram")
     ps.add_argument("--config", default=None, help="flat key=value config file")
     ps.add_argument("--seed", type=int, default=None)
-    ps.add_argument("--duration-ns", type=float, default=None)
+    ps.add_argument("--duration-ns", dest="duration", type=float, default=None)
     ps.add_argument("--replicas", type=int, default=None)
-    ps.add_argument("--pol", choices=("parallel", "orthogonal"), default=None)
+    ps.add_argument("--pol", dest="pol_mode", choices=("parallel", "orthogonal"), default=None)
     ps.add_argument("--theta", type=float, default=None)
-    ps.add_argument("--delta-t-ns", type=float, default=None)
+    ps.add_argument("--delta-t-ns", dest="delta_t", type=float, default=None)
     _add_emitter_flags(ps, None, None, None)
     ps.add_argument("--mode-match", type=float, default=None)
-    ps.add_argument("--irf-fwhm-ns", type=float, default=None)
+    ps.add_argument("--irf-fwhm-ns", dest="irf_fwhm_pair", type=float, default=None)
     ps.add_argument("--out", default="run", help="output path prefix")
     ps.set_defaults(func=cmd_simulate)
 
@@ -71,7 +72,7 @@ def build_parser():
 
 
 def cmd_analytic(args):
-    p = EmitterParams(gamma_spon=args.gamma_spon, gamma_pure=args.gamma_pure, w_p=args.wp)
+    p = EmitterParams(gamma_spon=args.gamma_spon, gamma_pure=args.gamma_pure, w_p=args.w_p)
     bs = BeamSplitterConfig(theta=args.theta, mode_match=args.mode_match)
     tau_max = args.tau_max_ns if args.tau_max_ns is not None else 0.5 / p.gamma_spon
     step = args.tau_step_ns if args.tau_step_ns is not None else tau_max / 40
@@ -112,30 +113,15 @@ def _simulate_config(args):
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
             mapping = fileio.parse_config_text(fh.read())
-    overrides = {
-        "seed": args.seed,
-        "duration": args.duration_ns,
-        "replicas": args.replicas,
-        "pol_mode": args.pol,
-        "theta": args.theta,
-        "delta_t": args.delta_t_ns,
-        "gamma_spon": args.gamma_spon,
-        "gamma_pure": args.gamma_pure,
-        "w_p": args.wp,
-        "mode_match": args.mode_match,
-        "irf_fwhm_pair": args.irf_fwhm_ns,
-    }
-    for k, v in overrides.items():
-        if v is not None:
+    for k, v in vars(args).items():
+        if k in fileio.CONFIG_FIELDS and v is not None:
             mapping[k] = v if isinstance(v, str) else repr(v)
     return fileio.build_run_config(mapping)
 
 
 def cmd_simulate(args):
-    from .pipeline import run_replicas
-
     rc = _simulate_config(args)
-    tags, hist = run_replicas(rc)
+    tags, hist = pipeline.run_replicas(rc)
     hist = detection.normalize(hist, rc.norm_region)
 
     fileio.write_config(args.out + ".config.txt", rc)

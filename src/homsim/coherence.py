@@ -31,12 +31,12 @@ class EmitterParams:
     gamma_vib: float = INSTANTANEOUS
 
     def __post_init__(self):
-        if not self.gamma_spon > 0:
-            raise ValueError("gamma_spon must be positive")
-        if self.gamma_pure < 0:
-            raise ValueError("gamma_pure must be non-negative")
-        if not self.w_p > 0:
-            raise ValueError("w_p must be positive")
+        if not 0 < self.gamma_spon < math.inf:
+            raise ValueError("gamma_spon must be positive and finite")
+        if not 0 <= self.gamma_pure < math.inf:
+            raise ValueError("gamma_pure must be non-negative and finite")
+        if not 0 < self.w_p < math.inf:
+            raise ValueError("w_p must be positive and finite")
         if not self.gamma_vib > 0:
             raise ValueError("gamma_vib must be positive or INSTANTANEOUS")
 

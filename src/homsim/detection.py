@@ -10,13 +10,13 @@ use.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coherence import FWHM_TO_SIGMA
-from .emitter import pairwise_delay_counts
-from .histogram import CorrelationHistogram, make_bin_edges
+from .histogram import CorrelationHistogram, make_bin_edges, pairwise_delay_counts
 
 CHANNELS = (3, 4)
 
@@ -41,18 +41,22 @@ class DetectionConfig:
     correlation_mode: str = "tac"
 
     def __post_init__(self):
-        if self.irf_fwhm_pair < 0:
-            raise ValueError("irf_fwhm_pair must be non-negative")
+        if not 0 <= self.irf_fwhm_pair < math.inf:
+            raise ValueError("irf_fwhm_pair must be non-negative and finite")
         for e in self.efficiency:
             if not 0.0 <= e <= 1.0:
                 raise ValueError("efficiency must lie in [0, 1]")
         for d in self.dead_time:
-            if d < 0:
-                raise ValueError("dead_time must be non-negative")
+            if not 0 <= d < math.inf:
+                raise ValueError("dead_time must be non-negative and finite")
         if not 0.0 <= self.background_fraction < 1.0:
             raise ValueError("background_fraction must lie in [0, 1)")
         if self.correlation_mode not in ("tac", "full"):
             raise ValueError("correlation_mode must be 'tac' or 'full'")
+        if self.electronic_delay is not None and not math.isfinite(self.electronic_delay):
+            raise ValueError("electronic_delay must be finite")
+        if not all(math.isfinite(v) for v in (*self.mca_range, self.bin_width)):
+            raise ValueError("mca_range and bin_width must be finite")
         # fail early if the binning cannot tile the range
         make_bin_edges(self.mca_range[0], self.mca_range[1], self.bin_width)
 
@@ -64,12 +68,6 @@ class DetectionConfig:
     def jitter_sigma(self):
         """Per-detector sigma so the pair response has the configured FWHM."""
         return self.irf_fwhm_pair / np.sqrt(2.0) / FWHM_TO_SIGMA
-
-
-@dataclass(frozen=True)
-class DetectionEvent:
-    channel: int
-    time: float
 
 
 def _dead_time_filter(times, dead):

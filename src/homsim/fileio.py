@@ -7,94 +7,89 @@ parses back to bit-identical parameters.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+import dataclasses
 
 import numpy as np
 
-from .coherence import INSTANTANEOUS, BeamSplitterConfig, EmitterParams
-from .detection import DetectionConfig
+from .coherence import INSTANTANEOUS
 from .histogram import CorrelationHistogram
-from .interferometer import InterferometerConfig
+from .pipeline import RunConfig, default_run_config
+
+# The run-config schema, one row per key in echo order: where the value
+# lives in a RunConfig (a digit indexes a tuple field), and the word that
+# stands for None ("auto") or INSTANTANEOUS ("instantaneous") in the text.
+CONFIG_FIELDS = {
+    "gamma_spon": ("emitter.gamma_spon", None),
+    "gamma_pure": ("emitter.gamma_pure", None),
+    "w_p": ("emitter.w_p", None),
+    "gamma_vib": ("emitter.gamma_vib", "instantaneous"),
+    "delta_t": ("interferometer.delta_t", None),
+    "theta": ("interferometer.bs.theta", None),
+    "mode_match": ("interferometer.bs.mode_match", None),
+    "pol_mode": ("interferometer.pol_mode", None),
+    "arm_prob_long": ("interferometer.arm_prob_long", None),
+    "pairing_window": ("interferometer.pairing_window", "auto"),
+    "pairing": ("interferometer.pairing", None),
+    "irf_fwhm_pair": ("detection.irf_fwhm_pair", None),
+    "efficiency_3": ("detection.efficiency.0", None),
+    "efficiency_4": ("detection.efficiency.1", None),
+    "dead_time_3": ("detection.dead_time.0", None),
+    "dead_time_4": ("detection.dead_time.1", None),
+    "background_fraction": ("detection.background_fraction", None),
+    "electronic_delay": ("detection.electronic_delay", "auto"),
+    "tau_min": ("detection.mca_range.0", None),
+    "tau_max": ("detection.mca_range.1", None),
+    "bin_width": ("detection.bin_width", None),
+    "correlation_mode": ("detection.correlation_mode", None),
+    "duration": ("duration", None),
+    "seed": ("seed", None),
+    "replicas": ("replicas", None),
+    "norm_lo": ("norm_region.0", None),
+    "norm_hi": ("norm_region.1", None),
+}
+
+_SENTINEL_VALUES = {"auto": None, "instantaneous": INSTANTANEOUS}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    emitter: EmitterParams
-    interferometer: InterferometerConfig
-    detection: DetectionConfig
-    duration: float
-    seed: int = 0
-    replicas: int = 1
-    norm_region: tuple[float, float] = (12.0, 24.0)
-
-    def __post_init__(self):
-        if not self.duration > 0:
-            raise ValueError("duration must be positive")
-        if self.replicas < 1:
-            raise ValueError("replicas must be >= 1")
+def _field(obj, path):
+    for step in path.split("."):
+        obj = obj[int(step)] if step.isdigit() else getattr(obj, step)
+    return obj
 
 
-# defaults mirror the experimental configuration; correlation_mode is "full"
-# here because at simulation-feasible count rates the single-stop TAC drowns
-# in start replacement (use "tac" with low efficiencies for hardware realism)
-def default_run_config() -> RunConfig:
-    return RunConfig(
-        emitter=EmitterParams(gamma_spon=1.0 / 3.4, gamma_pure=0.2, w_p=6.5),
-        interferometer=InterferometerConfig(delta_t=4.6, bs=BeamSplitterConfig(theta=math.pi / 4, mode_match=0.7)),
-        detection=DetectionConfig(background_fraction=0.05, correlation_mode="full"),
-        duration=1.0e6,
-        seed=0,
-        replicas=1,
-    )
+def _encode(value, sentinel):
+    if sentinel is not None and value == _SENTINEL_VALUES[sentinel]:
+        return sentinel
+    return value if isinstance(value, str) else repr(value)
 
 
-_CONFIG_KEYS = (
-    "gamma_spon", "gamma_pure", "w_p", "gamma_vib",
-    "delta_t", "theta", "mode_match", "pol_mode", "arm_prob_long",
-    "pairing_window", "pairing",
-    "irf_fwhm_pair", "efficiency_3", "efficiency_4", "dead_time_3", "dead_time_4",
-    "background_fraction", "electronic_delay", "tau_min", "tau_max", "bin_width",
-    "correlation_mode", "duration", "seed", "replicas", "norm_lo", "norm_hi",
-)
+def _decode(text, default, sentinel):
+    """Parse text with the type of the field's default (float if None)."""
+    if sentinel is not None and text == sentinel:
+        return _SENTINEL_VALUES[sentinel]
+    return type(default)(text) if isinstance(default, (str, int)) else float(text)
 
 
-def config_to_mapping(rc: RunConfig) -> dict:
-    p, itf, det = rc.emitter, rc.interferometer, rc.detection
-    return {
-        "gamma_spon": repr(p.gamma_spon),
-        "gamma_pure": repr(p.gamma_pure),
-        "w_p": repr(p.w_p),
-        "gamma_vib": "instantaneous" if math.isinf(p.gamma_vib) else repr(p.gamma_vib),
-        "delta_t": repr(itf.delta_t),
-        "theta": repr(itf.bs.theta),
-        "mode_match": repr(itf.bs.mode_match),
-        "pol_mode": itf.pol_mode,
-        "arm_prob_long": repr(itf.arm_prob_long),
-        "pairing_window": "auto" if itf.pairing_window is None else repr(itf.pairing_window),
-        "pairing": itf.pairing,
-        "irf_fwhm_pair": repr(det.irf_fwhm_pair),
-        "efficiency_3": repr(det.efficiency[0]),
-        "efficiency_4": repr(det.efficiency[1]),
-        "dead_time_3": repr(det.dead_time[0]),
-        "dead_time_4": repr(det.dead_time[1]),
-        "background_fraction": repr(det.background_fraction),
-        "electronic_delay": "auto" if det.electronic_delay is None else repr(det.electronic_delay),
-        "tau_min": repr(det.mca_range[0]),
-        "tau_max": repr(det.mca_range[1]),
-        "bin_width": repr(det.bin_width),
-        "correlation_mode": det.correlation_mode,
-        "duration": repr(rc.duration),
-        "seed": repr(rc.seed),
-        "replicas": repr(rc.replicas),
-        "norm_lo": repr(rc.norm_region[0]),
-        "norm_hi": repr(rc.norm_region[1]),
-    }
+def _replace(obj, values):
+    """obj with the fields at the given paths replaced.  Each changed tuple
+    or dataclass is built once, after its members, so its validation sees
+    all new values together (tau_min and tau_max, for instance)."""
+    groups = {}
+    for path, value in values.items():
+        head, _, rest = path.partition(".")
+        groups.setdefault(head, {})[rest] = value
+    new = {}
+    for head, sub in groups.items():
+        new[head] = sub[""] if "" in sub else _replace(_field(obj, head), sub)
+    if isinstance(obj, tuple):
+        return tuple(new.get(str(i), v) for i, v in enumerate(obj))
+    return dataclasses.replace(obj, **new)
 
 
 def format_config(rc: RunConfig) -> str:
-    m = config_to_mapping(rc)
-    return "".join("%s = %s\n" % (k, m[k]) for k in _CONFIG_KEYS)
+    return "".join(
+        "%s = %s\n" % (key, _encode(_field(rc, path), sentinel)) for key, (path, sentinel) in CONFIG_FIELDS.items()
+    )
 
 
 def parse_config_text(text: str) -> dict:
@@ -107,53 +102,23 @@ def parse_config_text(text: str) -> dict:
         if "=" not in line:
             raise ValueError("line %d: expected key = value" % lineno)
         key, val = (s.strip() for s in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in CONFIG_FIELDS:
             raise ValueError("line %d: unknown key %r" % (lineno, key))
         out[key] = val
     return out
 
 
 def build_run_config(mapping: dict) -> RunConfig:
-    """Apply a raw mapping on top of the defaults."""
-    base = config_to_mapping(default_run_config())
-    for k, v in mapping.items():
-        if k not in _CONFIG_KEYS:
-            raise ValueError("unknown config key %r" % k)
-        base[k] = v
-
-    def fval(key):
-        return float(base[key])
-
-    gamma_vib = INSTANTANEOUS if base["gamma_vib"] == "instantaneous" else float(base["gamma_vib"])
-    window = None if base["pairing_window"] == "auto" else float(base["pairing_window"])
-    e_delay = None if base["electronic_delay"] == "auto" else float(base["electronic_delay"])
-    emitter = EmitterParams(
-        gamma_spon=fval("gamma_spon"), gamma_pure=fval("gamma_pure"),
-        w_p=fval("w_p"), gamma_vib=gamma_vib,
-    )
-    itf = InterferometerConfig(
-        delta_t=fval("delta_t"),
-        bs=BeamSplitterConfig(theta=fval("theta"), mode_match=fval("mode_match")),
-        pol_mode=base["pol_mode"],
-        arm_prob_long=fval("arm_prob_long"),
-        pairing_window=window,
-        pairing=base["pairing"],
-    )
-    det = DetectionConfig(
-        irf_fwhm_pair=fval("irf_fwhm_pair"),
-        efficiency=(fval("efficiency_3"), fval("efficiency_4")),
-        dead_time=(fval("dead_time_3"), fval("dead_time_4")),
-        background_fraction=fval("background_fraction"),
-        electronic_delay=e_delay,
-        mca_range=(fval("tau_min"), fval("tau_max")),
-        bin_width=fval("bin_width"),
-        correlation_mode=base["correlation_mode"],
-    )
-    return RunConfig(
-        emitter=emitter, interferometer=itf, detection=det,
-        duration=fval("duration"), seed=int(base["seed"]), replicas=int(base["replicas"]),
-        norm_region=(fval("norm_lo"), fval("norm_hi")),
-    )
+    """Apply a raw mapping on top of the defaults.  Every value is decoded
+    before any dataclass is built."""
+    base = default_run_config()
+    values = {}
+    for key, text in mapping.items():
+        if key not in CONFIG_FIELDS:
+            raise ValueError("unknown config key %r" % key)
+        path, sentinel = CONFIG_FIELDS[key]
+        values[path] = _decode(text, _field(base, path), sentinel)
+    return _replace(base, values)
 
 
 def read_config(path) -> RunConfig:

@@ -1,4 +1,5 @@
-"""Shared correlation-histogram container used across the pipeline."""
+"""Shared correlation-histogram container and the pair-delay binning used
+across the pipeline."""
 
 from __future__ import annotations
 
@@ -84,3 +85,47 @@ class CorrelationHistogram:
             counts=self.counts.copy(),
             normalized=None if self.normalized is None else self.normalized.copy(),
         )
+
+
+def empirical_g2(stream, bin_width: float, max_tau: float) -> CorrelationHistogram:
+    """Histogram of ordered emission-time separations of a PhotonStream,
+    normalized so the uncorrelated level is 1 (rate-squared estimate)."""
+    times = stream.emission_times
+    if len(times) < 2:
+        raise ValueError("stream too short for a correlation estimate")
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("emission times must be strictly increasing")
+    edges = make_bin_edges(0.0, max_tau, bin_width)
+    counts = pairwise_delay_counts(times, times, edges)
+    counts[0] -= len(times)  # drop the self pairs sitting at zero delay
+    norm = len(times) ** 2 / stream.duration * bin_width
+    hist = CorrelationHistogram(edges, counts)
+    hist.normalized = counts / norm
+    hist.normalization_constant = norm
+    return hist
+
+
+def pairwise_delay_counts(ts_a, ts_b, edges, chunk=500_000):
+    """Counts of t_b - t_a over all pairs, binned by edges.  Both arrays must
+    be sorted ascending; work is chunked to bound memory."""
+    ts_a = np.asarray(ts_a, dtype=float)
+    ts_b = np.asarray(ts_b, dtype=float)
+    nbins = len(edges) - 1
+    width = edges[1] - edges[0]
+    counts = np.zeros(nbins, dtype=np.int64)
+    for start in range(0, len(ts_a), chunk):
+        a = ts_a[start : start + chunk]
+        lo = np.searchsorted(ts_b, a + edges[0], side="left")
+        hi = np.searchsorted(ts_b, a + edges[-1], side="left")
+        npairs = hi - lo
+        total = int(npairs.sum())
+        if total == 0:
+            continue
+        rep_a = np.repeat(a, npairs)
+        offs = np.concatenate(([0], np.cumsum(npairs)[:-1]))
+        j = np.arange(total) - np.repeat(offs, npairs) + np.repeat(lo, npairs)
+        d = ts_b[j] - rep_a
+        idx = np.floor((d - edges[0]) / width).astype(np.int64)
+        np.clip(idx, 0, nbins - 1, out=idx)
+        counts += np.bincount(idx, minlength=nbins)
+    return counts

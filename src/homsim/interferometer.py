@@ -1,11 +1,12 @@
 """Unbalanced Michelson-style delay line plus recombining beam splitter.
 
 Each photon takes the short or long arm (Bernoulli), acquiring delta_t of
-extra delay on the long arm.  At the output splitter, photons from opposite
-arms arriving within the envelope overlap can interfere pairwise: with the
-right probability the pair bunches into a common output port instead of
-routing independently.  The matching scheme below reproduces the pairwise
-bunching law while keeping pairings exclusive, see match_pairs.
+extra delay on the long arm, and leaves the output splitter through port 3
+or 4 independently.  In parallel polarization, opposite-arm photons whose
+envelopes overlap at both detection instants can instead bunch into a
+common port; bunching_probability states that law once, for whole arrays
+of pairs.  _candidate_pairs applies it to every pair within the pairing
+window, and match_pairs draws an exclusive matching that delivers it.
 """
 
 from __future__ import annotations
@@ -29,31 +30,22 @@ class InterferometerConfig:
     pol_mode: str = "parallel"
     arm_prob_long: float = 0.5
     pairing_window: float | None = None  # None: 10/gamma_spon at run time
-    pairing: str = "weighted"  # weighted | greedy | none
+    pairing: str = "weighted"  # weighted | none
 
     def __post_init__(self):
-        if self.delta_t < 0:
-            raise ValueError("delta_t must be non-negative")
+        if not 0 <= self.delta_t < math.inf:
+            raise ValueError("delta_t must be non-negative and finite")
         if self.pol_mode not in ("parallel", "orthogonal"):
             raise ValueError("pol_mode must be 'parallel' or 'orthogonal'")
         if not 0.0 <= self.arm_prob_long <= 1.0:
             raise ValueError("arm_prob_long must lie in [0, 1]")
-        if self.pairing_window is not None and not self.pairing_window > 0:
-            raise ValueError("pairing_window must be positive")
-        if self.pairing not in ("weighted", "greedy", "none"):
-            raise ValueError("pairing must be weighted, greedy or none")
+        if self.pairing_window is not None and not 0 < self.pairing_window < math.inf:
+            raise ValueError("pairing_window must be positive and finite")
+        if self.pairing not in ("weighted", "none"):
+            raise ValueError("pairing must be weighted or none")
 
     def resolved_window(self, p: EmitterParams):
         return self.pairing_window if self.pairing_window is not None else 10.0 / p.gamma_spon
-
-
-@dataclass(frozen=True)
-class RoutedPhoton:
-    photon_id: int
-    arrival_time: float
-    arm: str  # "short" | "long"
-    polarization: str  # "H" | "V"
-    envelope_delay: float
 
 
 @dataclass
@@ -64,21 +56,9 @@ class RoutedStream:
     long_arm: np.ndarray  # bool
     envelope_delays: np.ndarray
     photon_ids: np.ndarray
-    pol_mode: str
 
     def __len__(self):
         return len(self.arrival_times)
-
-    def photon(self, i) -> RoutedPhoton:
-        lng = bool(self.long_arm[i])
-        pol = "V" if (lng and self.pol_mode == "orthogonal") else "H"
-        return RoutedPhoton(
-            int(self.photon_ids[i]),
-            float(self.arrival_times[i]),
-            "long" if lng else "short",
-            pol,
-            float(self.envelope_delays[i]),
-        )
 
 
 def route(stream: PhotonStream, cfg: InterferometerConfig, rng) -> RoutedStream:
@@ -92,66 +72,23 @@ def route(stream: PhotonStream, cfg: InterferometerConfig, rng) -> RoutedStream:
         long_arm[order],
         stream.envelope_delays[order],
         np.arange(n)[order],
-        cfg.pol_mode,
     )
 
 
-def envelope_amplitude(t, arrival, gamma_spon):
-    """Exponential wave-packet amplitude sqrt(gamma) exp(-gamma (t-arr)/2)."""
-    t = np.asarray(t, dtype=float)
-    live = t >= arrival
-    return np.where(live, np.sqrt(gamma_spon) * np.exp(-0.5 * gamma_spon * (t - arrival) * live), 0.0)
+def bunching_probability(u_a, u_b, arr_a, arr_b, gamma_pure, bs: BeamSplitterConfig):
+    """Probability that an opposite-arm, same-polarization pair bunches.
 
-
-def envelope_overlap_ratio(u, v, arr_a, arr_b, gamma_spon):
-    """Symmetrized envelope overlap at the two detection instants.
-
-    For equal-width exponential envelopes this is 1 when both instants fall
-    inside both envelopes and 0 otherwise.
+    u_a, u_b are the detection instants and arr_a, arr_b the arrivals of the
+    two photons (arrays or scalars).  Equal-width exponential envelopes
+    overlap only when both instants fall after both arrivals; dephasing then
+    damps the interference as exp(-2 gamma_pure |u_a - u_b|).  The value is
+    at most 2 w M (w the splitter's interference weight, M the mode match),
+    which is 1 for a balanced splitter and perfect mode match.
     """
-    big = envelope_amplitude(u, arr_a, gamma_spon) * envelope_amplitude(v, arr_b, gamma_spon)
-    swp = envelope_amplitude(v, arr_a, gamma_spon) * envelope_amplitude(u, arr_b, gamma_spon)
-    den = big * big + swp * swp
-    r = np.where(den > 0, 2.0 * big * swp / np.where(den > 0, den, 1.0), 0.0)
-    return np.clip(r, 0.0, 1.0)  # 2ab/(a^2+b^2) can top 1 by an ulp
-
-
-def coincidence_probability(u, v, a: RoutedPhoton, b: RoutedPhoton, p: EmitterParams, bs: BeamSplitterConfig):
-    """Probability that the pair leaves through different output ports."""
-    c2 = math.cos(bs.theta) ** 2
-    s2 = math.sin(bs.theta) ** 2
-    base = c2 * c2 + s2 * s2
-    if a.polarization != b.polarization:
-        return base
-    r = envelope_overlap_ratio(u, v, a.arrival_time, b.arrival_time, p.gamma_spon)
-    return base - 2.0 * s2 * c2 * bs.mode_match * r * math.exp(-2.0 * p.gamma_pure * abs(u - v))
-
-
-def pair_interference_outcome(a: RoutedPhoton, b: RoutedPhoton, p: EmitterParams, bs: BeamSplitterConfig, rng):
-    """Resolve one opposite-arm pair at the output splitter.
-
-    Detection instants are the arrival times plus the envelope delays the
-    photons already carry.  Returns (outcome, ((ch_a, t_a), (ch_b, t_b)))
-    with outcome "coincidence" or "bunch".
-    """
-    u = a.arrival_time + a.envelope_delay
-    v = b.arrival_time + b.envelope_delay
-    p_c = coincidence_probability(u, v, a, b, p, bs)
-    if rng.random() < p_c:
-        if rng.random() < 0.5:
-            return "coincidence", ((3, u), (4, v))
-        return "coincidence", ((4, u), (3, v))
-    ch = 3 if rng.random() < 0.5 else 4
-    return "bunch", ((ch, u), (ch, v))
-
-
-def route_unpaired(photon: RoutedPhoton, bs: BeamSplitterConfig, rng):
-    """Detector choice for a photon that interferes with nothing."""
-    c2 = math.cos(bs.theta) ** 2
-    s2 = math.sin(bs.theta) ** 2
-    p3 = c2 if photon.arm == "short" else s2
-    ch = 3 if rng.random() < p3 else 4
-    return ch, photon.arrival_time + photon.envelope_delay
+    overlap = np.minimum(u_a, u_b) >= np.maximum(arr_a, arr_b)
+    amp = 2.0 * bs.interference_weight * bs.mode_match
+    # damping first: one float temporary fewer is alive on a chunk of pairs
+    return np.exp(-2.0 * gamma_pure * np.abs(u_a - u_b)) * overlap * amp
 
 
 def match_pairs(n_photons, a_idx, b_idx, q, rng):
@@ -207,9 +144,6 @@ def _candidate_pairs(routed: RoutedStream, p: EmitterParams, bs: BeamSplitterCon
     idx_long = np.flatnonzero(routed.long_arm)
     idx_short = np.flatnonzero(~routed.long_arm)
     arr_short = arrival[idx_short]
-    c2 = math.cos(bs.theta) ** 2
-    s2 = math.sin(bs.theta) ** 2
-    amp = 2.0 * s2 * c2 / (c2 * c2 + s2 * s2) * bs.mode_match
 
     out_a, out_b, out_q = [], [], []
     for start in range(0, len(idx_long), chunk):
@@ -223,11 +157,7 @@ def _candidate_pairs(routed: RoutedStream, p: EmitterParams, bs: BeamSplitterCon
         a = np.repeat(il, npairs)
         offs = np.concatenate(([0], np.cumsum(npairs)[:-1]))
         b = idx_short[np.arange(total) - np.repeat(offs, npairs) + np.repeat(lo, npairs)]
-        ua, ub = u[a], u[b]
-        # overlap ratio for equal envelopes: both detection instants must
-        # fall after both arrivals
-        overlap = np.minimum(ua, ub) >= np.maximum(arrival[a], arrival[b])
-        q = amp * overlap * np.exp(-2.0 * p.gamma_pure * np.abs(ua - ub))
+        q = bunching_probability(u[a], u[b], arrival[a], arrival[b], p.gamma_pure, bs)
         keep = q > Q_MIN
         out_a.append(a[keep])
         out_b.append(b[keep])
@@ -255,43 +185,13 @@ def interfere_stream(stream: PhotonStream, cfg: InterferometerConfig, p: Emitter
     p3 = np.where(routed.long_arm, s2, c2)
     ch = np.where(r < p3, 3, 4).astype(np.int8)
 
-    interfering = (
-        cfg.pol_mode == "parallel" and cfg.pairing != "none" and cfg.bs.mode_match > 0 and n > 1
-    )
-    if interfering:
-        window = cfg.resolved_window(p)
-        a_idx, b_idx, q = _candidate_pairs(routed, p, cfg.bs, window)
-        if cfg.pairing == "weighted":
-            a_o, b_o, acc = match_pairs(n, a_idx, b_idx, q, rng)
-            coin = rng.random(len(a_o)) < 0.5
-            det = np.where(coin, 3, 4).astype(np.int8)
-            ch[a_o[acc]] = det[acc]
-            ch[b_o[acc]] = det[acc]
-        else:
-            _greedy_outcomes(routed, a_idx, b_idx, q, ch, rng)
+    if cfg.pol_mode == "parallel" and cfg.pairing == "weighted" and cfg.bs.mode_match > 0 and n > 1:
+        a_idx, b_idx, q = _candidate_pairs(routed, p, cfg.bs, cfg.resolved_window(p))
+        a_o, b_o, acc = match_pairs(n, a_idx, b_idx, q, rng)
+        coin = rng.random(len(a_o)) < 0.5
+        det = np.where(coin, 3, 4).astype(np.int8)
+        ch[a_o[acc]] = det[acc]
+        ch[b_o[acc]] = det[acc]
 
     return {3: np.sort(u[ch == 3]), 4: np.sort(u[ch == 4])}
 
-
-def _greedy_outcomes(routed, a_idx, b_idx, q, ch, rng):
-    """Nearest-arrival exclusive pairing; each matched pair resolved by the
-    pairwise coincidence law.  Kept for comparison: exclusive matching by
-    arrival proximity alone overweights close pairs and lifts the dip floor.
-    """
-    arrival = routed.arrival_times
-    sep = np.abs(arrival[a_idx] - arrival[b_idx])
-    order = np.argsort(sep, kind="stable")
-    bunch_draw = rng.random(len(order))
-    coin = rng.random(len(order)) < 0.5
-    used = np.zeros(len(routed), dtype=bool)
-    for pos, k in enumerate(order):
-        x, y = a_idx[k], b_idx[k]
-        if used[x] or used[y]:
-            continue
-        used[x] = used[y] = True
-        # q holds amp*M*R*exp(-2 gamma_p |du|); bunching excess over the
-        # independent-routing baseline uses the same quantity
-        if bunch_draw[pos] < q[k]:
-            det = 3 if coin[pos] else 4
-            ch[x] = det
-            ch[y] = det

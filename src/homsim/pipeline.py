@@ -1,5 +1,8 @@
 """End-to-end runs: emission -> interferometer -> detectors -> histogram.
 
+RunConfig bundles the three stage configs with the run length, seed,
+replica count and normalization region; fileio reads and writes it.
+
 Each replica uses seed + replica_index for the emission stream and
 independent substreams (SeedSequence spawn keys) for the optics and the
 detector chain, so a run is reproducible bit for bit from its config.
@@ -7,12 +10,48 @@ detector chain, so a run is reproducible bit for bit from its config.
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 
-from .detection import apply_detector, tac_mca_histogram
+from .coherence import BeamSplitterConfig, EmitterParams
+from .detection import DetectionConfig, apply_detector, tac_mca_histogram
 from .emitter import StreamConfig, simulate_emission_stream
-from .fileio import RunConfig
-from .interferometer import interfere_stream
+from .interferometer import InterferometerConfig, interfere_stream
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    emitter: EmitterParams
+    interferometer: InterferometerConfig
+    detection: DetectionConfig
+    duration: float
+    seed: int = 0
+    replicas: int = 1
+    norm_region: tuple[float, float] = (12.0, 24.0)
+
+    def __post_init__(self):
+        if not 0 < self.duration < math.inf:
+            raise ValueError("duration must be positive and finite")
+        if self.replicas < 1:
+            raise ValueError("replicas must be >= 1")
+        if not all(math.isfinite(v) for v in self.norm_region):
+            raise ValueError("norm_region must be finite")
+
+
+# defaults mirror the experimental configuration; correlation_mode is "full"
+# here because at simulation-feasible count rates the single-stop TAC drowns
+# in start replacement (use "tac" with low efficiencies for hardware realism)
+def default_run_config() -> RunConfig:
+    return RunConfig(
+        emitter=EmitterParams(gamma_spon=1.0 / 3.4, gamma_pure=0.2, w_p=6.5),
+        interferometer=InterferometerConfig(delta_t=4.6, bs=BeamSplitterConfig(theta=math.pi / 4, mode_match=0.7)),
+        detection=DetectionConfig(background_fraction=0.05, correlation_mode="full"),
+        duration=1.0e6,
+        seed=0,
+        replicas=1,
+    )
 
 
 def _stage_rng(seed, stage):

@@ -14,13 +14,12 @@ import tempfile
 
 import numpy as np
 
-from . import analysis, coherence, detection, emitter, fileio, interferometer
+from . import analysis, coherence, detection, emitter, fileio
 from .coherence import BeamSplitterConfig, EmitterParams
 from .detection import DetectionConfig
-from .fileio import RunConfig
-from .histogram import CorrelationHistogram, make_bin_edges
-from .interferometer import InterferometerConfig, RoutedPhoton
-from .pipeline import run_replica
+from .histogram import CorrelationHistogram, empirical_g2, make_bin_edges
+from .interferometer import InterferometerConfig, bunching_probability
+from .pipeline import RunConfig, default_run_config, run_replica
 
 
 class _Report:
@@ -67,25 +66,14 @@ def _analytic_checks(rep: _Report):
         d = coherence.g2_34(tau, p, bs0, "parallel") - coherence.g2_34(tau, p, bs0, "orthogonal")
         rep.check("splitter collapse theta=%g" % theta, np.max(np.abs(d)) < 1e-12)
 
-    # pairwise coincidence law: bounds and the fully overlapped reference point
-    pe = EmitterParams(gamma_spon=1 / 3.4, gamma_pure=0.2, w_p=1.0)
-    a = RoutedPhoton(0, 0.0, "short", "H", 0.0)
-    b = RoutedPhoton(1, 0.0, "long", "H", 0.0)
+    # pairwise bunching law: the fully overlapped reference point and bounds
     bs1 = BeamSplitterConfig(theta=math.pi / 4, mode_match=1.0)
-    pc = interferometer.coincidence_probability(1.2, 0.2, a, b, pe, bs1)
-    rep.check("coincidence example", abs(pc - 0.5 * (1.0 - math.exp(-0.4))) < 1e-12)
+    q = bunching_probability(1.2, 0.2, 0.0, 0.0, 0.2, bs1)
+    rep.check("bunching example", abs(q - math.exp(-0.4)) < 1e-12)
     rng = np.random.default_rng(7)
-    lo = math.cos(bs1.theta) ** 4 + math.sin(bs1.theta) ** 4 - 2 * (math.sin(bs1.theta) * math.cos(bs1.theta)) ** 2
-    hi = math.cos(bs1.theta) ** 4 + math.sin(bs1.theta) ** 4
-    ok = True
-    for _ in range(200):
-        aa = RoutedPhoton(0, rng.uniform(0, 5), "short", "H", 0.0)
-        bb = RoutedPhoton(1, rng.uniform(0, 5), "long", "H", 0.0)
-        u, v = rng.uniform(-1, 8), rng.uniform(-1, 8)
-        r = interferometer.envelope_overlap_ratio(u, v, aa.arrival_time, bb.arrival_time, pe.gamma_spon)
-        q = interferometer.coincidence_probability(u, v, aa, bb, pe, bs1)
-        ok = ok and 0.0 <= float(r) <= 1.0 and lo - 1e-12 <= q <= hi + 1e-12
-    rep.check("coincidence bounds", ok)
+    arr_a, arr_b = rng.uniform(0, 5, 200), rng.uniform(0, 5, 200)
+    q = bunching_probability(rng.uniform(-1, 8, 200), rng.uniform(-1, 8, 200), arr_a, arr_b, 0.2, bs1)
+    rep.check("bunching bounds", bool(np.all((q >= 0.0) & (q <= 1.0))))
 
 
 def _emitter_checks(rep: _Report, quick):
@@ -116,7 +104,7 @@ def _emitter_checks(rep: _Report, quick):
     rate = p.w_p * p.gamma_spon / (p.w_p + p.gamma_spon)
     rep.check("mean rate", abs(s1.mean_rate - rate) < 3 * math.sqrt(rate / dur))
 
-    h = emitter.empirical_g2(s1, 0.02, 1.0)
+    h = empirical_g2(s1, 0.02, 1.0)
     rep.check("antibunched origin", h.normalized[0] < 0.1, "bin0 %g" % h.normalized[0])
 
 
@@ -189,7 +177,7 @@ def _detection_checks(rep: _Report):
 
 
 def _io_checks(rep: _Report):
-    rc = fileio.default_run_config()
+    rc = default_run_config()
     echo = fileio.format_config(rc)
     rc2 = fileio.build_run_config(fileio.parse_config_text(echo))
     rep.check("config echo round-trip", fileio.format_config(rc2) == echo)

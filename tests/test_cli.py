@@ -149,3 +149,10 @@ def test_exit_codes(tmp_path):
                  "--orth", str(tmp_path / "missing.csv")]) == 3
     assert main(["selftest", "--quick"]) == 0
     assert main(["selftest", "--quick", "--sentinel-sign-flip"]) == 4
+    # non-finite values and removed modes are bad input, not a run or a traceback
+    greedy = tmp_path / "greedy.config.txt"
+    greedy.write_text("pairing = greedy\nduration = 20000.0\n")
+    for flag, value in (("--gamma-pure", "nan"), ("--delta-t-ns", "nan"), ("--duration-ns", "inf"),
+                        ("--config", str(greedy))):
+        assert main(["simulate", flag, value, "--out", str(tmp_path / "bad")]) == 3
+    assert not list(tmp_path.glob("bad*"))

@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from homsim import CorrelationHistogram, HomFitResult, INSTANTANEOUS, make_bin_edges, normalize
+from homsim import CorrelationHistogram, HomFitResult, INSTANTANEOUS, default_run_config, make_bin_edges, normalize
 from homsim.fileio import (
+    CONFIG_FIELDS,
     RESULT_KEYS,
     build_run_config,
-    config_to_mapping,
-    default_run_config,
     format_config,
     parse_config_text,
     read_config,
@@ -44,7 +43,7 @@ def test_config_defaults_and_overrides():
 def test_config_sentinels():
     rc = build_run_config({"gamma_vib": "instantaneous"})
     assert rc.emitter.gamma_vib == INSTANTANEOUS
-    assert config_to_mapping(rc)["gamma_vib"] == "instantaneous"
+    assert parse_config_text(format_config(rc))["gamma_vib"] == "instantaneous"
     rc = build_run_config({"gamma_vib": "2.5", "pairing_window": "7.0", "electronic_delay": "1.5"})
     assert rc.emitter.gamma_vib == 2.5
     assert rc.interferometer.pairing_window == 7.0
@@ -52,6 +51,62 @@ def test_config_sentinels():
     rc = build_run_config({"pairing_window": "auto", "electronic_delay": "auto"})
     assert rc.interferometer.pairing_window is None
     assert rc.detection.electronic_delay is None
+
+
+# for every key: a value other than the default, spelled as format_config
+# echoes it, and the RunConfig field it must land in
+NON_DEFAULT = {
+    "gamma_spon": ("0.5", lambda rc: rc.emitter.gamma_spon),
+    "gamma_pure": ("0.3", lambda rc: rc.emitter.gamma_pure),
+    "w_p": ("2.0", lambda rc: rc.emitter.w_p),
+    "gamma_vib": ("4.0", lambda rc: rc.emitter.gamma_vib),
+    "delta_t": ("3.0", lambda rc: rc.interferometer.delta_t),
+    "theta": ("0.9", lambda rc: rc.interferometer.bs.theta),
+    "mode_match": ("0.5", lambda rc: rc.interferometer.bs.mode_match),
+    "pol_mode": ("orthogonal", lambda rc: rc.interferometer.pol_mode),
+    "arm_prob_long": ("0.3", lambda rc: rc.interferometer.arm_prob_long),
+    "pairing_window": ("7.0", lambda rc: rc.interferometer.pairing_window),
+    "pairing": ("none", lambda rc: rc.interferometer.pairing),
+    "irf_fwhm_pair": ("0.3", lambda rc: rc.detection.irf_fwhm_pair),
+    "efficiency_3": ("0.3", lambda rc: rc.detection.efficiency[0]),
+    "efficiency_4": ("0.4", lambda rc: rc.detection.efficiency[1]),
+    "dead_time_3": ("22.0", lambda rc: rc.detection.dead_time[0]),
+    "dead_time_4": ("11.0", lambda rc: rc.detection.dead_time[1]),
+    "background_fraction": ("0.1", lambda rc: rc.detection.background_fraction),
+    "electronic_delay": ("1.5", lambda rc: rc.detection.electronic_delay),
+    "tau_min": ("-20.79", lambda rc: rc.detection.mca_range[0]),
+    "tau_max": ("20.79", lambda rc: rc.detection.mca_range[1]),
+    "bin_width": ("0.42", lambda rc: rc.detection.bin_width),
+    "correlation_mode": ("tac", lambda rc: rc.detection.correlation_mode),
+    "duration": ("200000.0", lambda rc: rc.duration),
+    "seed": ("7", lambda rc: rc.seed),
+    "replicas": ("3", lambda rc: rc.replicas),
+    "norm_lo": ("10.0", lambda rc: rc.norm_region[0]),
+    "norm_hi": ("20.0", lambda rc: rc.norm_region[1]),
+}
+
+
+@pytest.mark.parametrize("key", list(CONFIG_FIELDS))
+def test_config_field_roundtrip(key):
+    value, where = NON_DEFAULT[key]
+    rc = build_run_config({key: value})
+    assert str(where(rc)) == value
+    assert where(default_run_config()) != where(rc)
+    text = format_config(rc)
+    assert parse_config_text(text)[key] == value
+    assert build_run_config(parse_config_text(text)) == rc
+
+
+def test_config_rejects_non_finite():
+    for key in ("gamma_spon", "gamma_pure", "w_p", "delta_t", "pairing_window", "irf_fwhm_pair",
+                "dead_time_3", "electronic_delay", "tau_max", "bin_width", "duration", "norm_hi"):
+        for bad in ("nan", "inf"):
+            with pytest.raises(ValueError):
+                build_run_config({key: bad})
+    # an infinitely fast vibronic stage is legal, spelled either way
+    assert build_run_config({"gamma_vib": "inf"}).emitter.gamma_vib == INSTANTANEOUS
+    with pytest.raises(ValueError):
+        build_run_config({"gamma_vib": "nan"})
 
 
 def test_config_parse_rules():
@@ -63,6 +118,9 @@ def test_config_parse_rules():
         parse_config_text("just some words\n")
     with pytest.raises(ValueError):
         build_run_config({"pump_rate": "2.0"})
+    # tau_min and tau_max are applied together, so a shifted range is legal
+    rc = build_run_config({"tau_min": "30.0", "tau_max": "40.0", "bin_width": "0.5"})
+    assert rc.detection.mca_range == (30.0, 40.0)
 
 
 def test_config_file_roundtrip(tmp_path):

@@ -9,23 +9,16 @@ from homsim import (
     BeamSplitterConfig,
     EmitterParams,
     InterferometerConfig,
-    RoutedPhoton,
+    PhotonStream,
     StreamConfig,
+    bunching_probability,
     interfere_stream,
-    pair_interference_outcome,
     route,
-    route_unpaired,
     simulate_emission_stream,
 )
-from homsim.interferometer import (
-    RoutedStream,
-    _candidate_pairs,
-    coincidence_probability,
-    envelope_overlap_ratio,
-    match_pairs,
-)
+from homsim.interferometer import RoutedStream, _candidate_pairs, match_pairs
 
-PC_EXAMPLE = 0.164839976982180350  # (1 - exp(-0.4))/2, balanced splitter, M=1
+Q_EXAMPLE = 0.670320046035639301  # exp(-0.4), balanced splitter, M=1
 
 
 def _itf(**kw):
@@ -55,92 +48,68 @@ def test_route_arm_fraction_and_polarization(strong_dephasing):
     routed = route(stream, cfg, np.random.default_rng(11))
     frac = routed.long_arm.mean()
     assert abs(frac - 0.3) < 3 * math.sqrt(0.3 * 0.7 / len(routed))
-    i_long = int(np.flatnonzero(routed.long_arm)[0])
-    i_short = int(np.flatnonzero(~routed.long_arm)[0])
-    assert routed.photon(i_long).polarization == "V"
-    assert routed.photon(i_short).polarization == "H"
+    # polarization decides only whether pairs interfere, never the routing
     par = route(stream, _itf(arm_prob_long=0.3), np.random.default_rng(11))
-    assert par.photon(i_long).polarization == "H"
+    np.testing.assert_array_equal(par.arrival_times, routed.arrival_times)
+    np.testing.assert_array_equal(par.long_arm, routed.long_arm)
 
 
-def test_envelope_overlap_ratio_cases():
+def test_bunching_probability_frozen_example(balanced_splitter):
+    # both instants inside both envelopes, 1 ns apart, gamma_pure 0.2
+    q = bunching_probability(1.0, 0.0, 0.0, 0.0, 0.2, balanced_splitter)
+    assert q == pytest.approx(Q_EXAMPLE, abs=1e-12)
+    # equal instants: the full weight 2 w M, perfect bunching when balanced
+    assert bunching_probability(0.3, 0.3, 0.0, 0.1, 0.3, balanced_splitter) == 1.0
+    bs = BeamSplitterConfig(theta=0.9, mode_match=0.6)
+    want = 2.0 * bs.interference_weight * 0.6
+    assert bunching_probability(0.3, 0.3, 0.0, 0.1, 0.3, bs) == pytest.approx(want, rel=1e-15)
+    # distinguishable instants give a probability strictly inside (0, 1)
+    assert 0.02 < bunching_probability(0.3, 0.7, 0.0, 0.1, 0.3, balanced_splitter) < 0.98
+
+
+def test_bunching_probability_overlap_cases(balanced_splitter):
     # both detection instants after both arrivals: full overlap
-    r = envelope_overlap_ratio(3.0, 2.5, 0.0, 2.0, 1.0)
-    assert r <= 1.0
-    assert r == pytest.approx(1.0, abs=1e-12)
-    # one instant before the later wave packet has started: no overlap
-    assert envelope_overlap_ratio(1.5, 3.0, 0.0, 2.0, 1.0) == 0.0
+    assert bunching_probability(3.0, 3.0, 0.0, 2.0, 0.0, balanced_splitter) == 1.0
+    # either instant before the later wave packet has started: no overlap
+    assert bunching_probability(1.5, 3.0, 0.0, 2.0, 0.0, balanced_splitter) == 0.0
+    assert bunching_probability(3.0, 1.5, 0.0, 2.0, 0.0, balanced_splitter) == 0.0
     # both instants before either envelope exists
-    assert envelope_overlap_ratio(-1.0, -1.0, 0.0, 2.0, 1.0) == 0.0
-    arr = envelope_overlap_ratio(np.array([3.0, 1.5]), np.array([2.5, 3.0]), 0.0, 2.0, 1.0)
-    assert arr.shape == (2,)
-    assert np.all((arr >= 0) & (arr <= 1))
+    assert bunching_probability(-1.0, -1.0, 0.0, 2.0, 0.0, balanced_splitter) == 0.0
+    q = bunching_probability(np.array([3.0, 1.5]), np.array([3.0, 3.0]), 0.0, np.array([2.0, 2.0]), 0.0,
+                             balanced_splitter)
+    np.testing.assert_array_equal(q, [1.0, 0.0])
 
 
-def test_coincidence_probability_frozen_example(balanced_splitter):
-    p = EmitterParams(gamma_spon=1.0, gamma_pure=0.2, w_p=1.0)
-    a = RoutedPhoton(0, 0.0, "short", "H", 1.0)
-    b = RoutedPhoton(1, 0.0, "long", "H", 0.0)
-    pc = coincidence_probability(1.0, 0.0, a, b, p, balanced_splitter)
-    assert pc == pytest.approx(PC_EXAMPLE, abs=1e-12)
-    # orthogonal polarizations never interfere: classical 50/50 splitting
-    b_v = RoutedPhoton(1, 0.0, "long", "V", 0.0)
-    base = math.cos(balanced_splitter.theta) ** 4 + math.sin(balanced_splitter.theta) ** 4
-    assert coincidence_probability(1.0, 0.0, a, b_v, p, balanced_splitter) == base
-    dead = coincidence_probability(-1.0, 0.0, a, b, p, balanced_splitter)
-    assert dead == base
-
-
-def test_coincidence_probability_bounds(rng):
-    p = EmitterParams(gamma_spon=0.8, gamma_pure=0.5, w_p=1.0)
-    for _ in range(200):
+def test_bunching_probability_bounds(rng):
+    n = 2000
+    for _ in range(20):
         bs = BeamSplitterConfig(theta=rng.uniform(0, math.pi / 2), mode_match=rng.uniform(0, 1))
-        a = RoutedPhoton(0, rng.uniform(0, 5), "short", "H", rng.exponential(1.25))
-        b = RoutedPhoton(1, rng.uniform(0, 5), "long", "H", rng.exponential(1.25))
-        pc = coincidence_probability(
-            a.arrival_time + a.envelope_delay, b.arrival_time + b.envelope_delay, a, b, p, bs
-        )
-        assert 0.0 <= pc <= 1.0
+        arr_a, arr_b = rng.uniform(0, 5, n), rng.uniform(0, 5, n)
+        u_a = arr_a + rng.exponential(1.25, n)
+        u_b = arr_b + rng.exponential(1.25, n)
+        q = bunching_probability(u_a, u_b, arr_a, arr_b, rng.uniform(0, 2), bs)
+        top = 2.0 * bs.interference_weight * bs.mode_match
+        assert top <= 1.0
+        assert np.all((q >= 0.0) & (q <= top))
+        assert np.any(q > 0.0) and np.any(q == 0.0)
 
 
-def test_pair_outcome_structure_and_rate(balanced_splitter):
-    p = EmitterParams(gamma_spon=1.0, gamma_pure=0.3, w_p=1.0)
-    # identical detection instants on a balanced splitter: perfect suppression
-    a0 = RoutedPhoton(0, 0.0, "short", "H", 0.3)
-    b0 = RoutedPhoton(1, 0.1, "long", "H", 0.2)
-    assert coincidence_probability(0.3, 0.3, a0, b0, p, balanced_splitter) == 0.0
-    # distinguishable instants give a rate strictly between 0 and classical
-    a = RoutedPhoton(0, 0.0, "short", "H", 0.3)
-    b = RoutedPhoton(1, 0.1, "long", "H", 0.6)
-    u, v = 0.3, 0.1 + 0.6
-    pc = coincidence_probability(u, v, a, b, p, balanced_splitter)
-    assert 0.02 < pc < 0.49
-    rng = np.random.default_rng(21)
-    n, n_coinc = 20000, 0
-    for _ in range(n):
-        outcome, ((ch_a, t_a), (ch_b, t_b)) = pair_interference_outcome(a, b, p, balanced_splitter, rng)
-        assert (t_a, t_b) == (u, v)
-        if outcome == "coincidence":
-            assert ch_a != ch_b
-            n_coinc += 1
-        else:
-            assert ch_a == ch_b
-    assert abs(n_coinc / n - pc) < 3 * math.sqrt(pc * (1 - pc) / n)
-
-
-def test_route_unpaired_port_probabilities():
+def test_unpaired_port_probabilities():
+    # without pairing a short-arm photon reaches port 3 with cos^2(theta)
+    # and a long-arm photon with sin^2(theta)
     bs = BeamSplitterConfig(theta=0.9, mode_match=1.0)
     c2 = math.cos(0.9) ** 2
-    rng = np.random.default_rng(5)
-    short = RoutedPhoton(0, 2.0, "short", "H", 0.5)
-    longp = RoutedPhoton(1, 2.0, "long", "H", 0.5)
     n = 20000
-    hits_short = sum(route_unpaired(short, bs, rng)[0] == 3 for _ in range(n)) / n
-    hits_long = sum(route_unpaired(longp, bs, rng)[0] == 3 for _ in range(n)) / n
+    stream = PhotonStream(np.arange(n) * 10.0 + 1.0, np.full(n, 0.5), n * 10.0)
+    p = EmitterParams(gamma_spon=1.0)
     se = 3 * math.sqrt(c2 * (1 - c2) / n)
-    assert abs(hits_short - c2) < se
-    assert abs(hits_long - (1 - c2)) < se
-    assert route_unpaired(short, bs, rng)[1] == 2.5
+    for arm_prob_long, p3 in ((0.0, c2), (1.0, 1 - c2)):
+        cfg = _itf(bs=bs, arm_prob_long=arm_prob_long, pairing="none")
+        out = interfere_stream(stream, cfg, p, np.random.default_rng(5))
+        assert len(out[3]) + len(out[4]) == n
+        assert abs(len(out[3]) / n - p3) < se
+        # detection instant is the arrival plus the envelope delay
+        assert np.isin(out[3], stream.emission_times + 4.6 * arm_prob_long + 0.5).all()
 
 
 def test_candidate_pairs_weights_and_window():
@@ -151,7 +120,6 @@ def test_candidate_pairs_weights_and_window():
         long_arm=np.array([False, True]),
         envelope_delays=np.array([0.5, 0.6]),
         photon_ids=np.array([0, 1]),
-        pol_mode="parallel",
     )
     a, b, q = _candidate_pairs(routed, p, bs, window=5.0)
     assert (a.tolist(), b.tolist()) == ([1], [0])
@@ -163,7 +131,6 @@ def test_candidate_pairs_weights_and_window():
         long_arm=np.array([False, True]),
         envelope_delays=np.array([0.5, 0.6]),
         photon_ids=np.array([0, 1]),
-        pol_mode="parallel",
     )
     a, b, q = _candidate_pairs(far, p, bs, window=5.0)
     assert len(q) == 0
@@ -174,7 +141,6 @@ def test_candidate_pairs_weights_and_window():
         long_arm=np.array([False, True]),
         envelope_delays=np.array([1.0, 1.0]),
         photon_ids=np.array([0, 1]),
-        pol_mode="parallel",
     )
     a, b, q = _candidate_pairs(stale, p, bs, window=10.0)
     assert len(q) == 0
@@ -229,7 +195,7 @@ def test_match_pairs_exclusive(rng):
 
 def test_interfere_stream_conserves_and_reproduces(strong_dephasing):
     stream = simulate_emission_stream(StreamConfig(strong_dephasing, 2e4, rng_seed=31))
-    for pairing in ("weighted", "greedy", "none"):
+    for pairing in ("weighted", "none"):
         cfg = _itf(pairing=pairing)
         out1 = interfere_stream(stream, cfg, strong_dephasing, np.random.default_rng(7))
         out2 = interfere_stream(stream, cfg, strong_dephasing, np.random.default_rng(7))
@@ -259,6 +225,11 @@ def test_interferometer_config_validation(balanced_splitter):
         _itf(pol_mode="circular")
     with pytest.raises(ValueError):
         _itf(pairing="quadratic")
+    with pytest.raises(ValueError):
+        _itf(pairing="greedy")
+    for bad in (dict(delta_t=math.nan), dict(delta_t=math.inf), dict(pairing_window=math.inf)):
+        with pytest.raises(ValueError):
+            _itf(**bad)
     p = EmitterParams(gamma_spon=2.0, gamma_pure=0.0, w_p=1.0)
     assert _itf().resolved_window(p) == pytest.approx(5.0)
     assert _itf(pairing_window=3.0).resolved_window(p) == 3.0
