@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .coherence import EmitterParams, convolve_irf, g2_source, visibility
 from .detection import DetectionConfig, normalize
@@ -165,6 +164,9 @@ def fit_hom_model(
     one only.  Uses Nelder-Mead from the initial point plus three jittered
     restarts; the model assumes a balanced splitter.
     """
+    # imported here, its only use, so simulate never pays scipy's import
+    from scipy import optimize
+
     if h_par.normalized is None or h_orth.normalized is None:
         raise ValueError("both histograms must be normalized first")
     if not h_par.same_geometry(h_orth):

@@ -71,15 +71,53 @@ class DetectionConfig:
 
 
 def _dead_time_filter(times, dead):
-    if dead <= 0 or len(times) == 0:
+    """Drop the clicks that come within `dead` of the last kept click.
+
+    A click at t is kept when t - last >= dead.  The test stays in this form
+    rather than t >= last + dead: the two round differently, and the other
+    form would keep other clicks at pinned seeds.  times must be sorted.
+    """
+    n = len(times)
+    if dead <= 0 or n == 0:
         return times
-    keep = np.zeros(len(times), dtype=bool)
-    last = -np.inf
-    for i, t in enumerate(times):
-        if t - last >= dead:
-            keep[i] = True
-            last = t
-    return times[keep]
+    t = times
+    # nxt[i]: first click a kept click i lets through.  searchsorted tests
+    # t >= t_i + dead, which rounds differently from t - t_i >= dead, so nxt
+    # is moved to the first click of the exact predicate; the predicate is
+    # monotone in the index and equal times share it, so it steps tie groups
+    nxt = np.searchsorted(t, t + dead, side="left")
+    i = np.flatnonzero(nxt < n)
+    i = i[t[nxt[i]] - t[i] < dead]
+    while len(i):
+        nxt[i] = np.searchsorted(t, t[nxt[i]], side="right")
+        i = i[nxt[i] < n]
+        i = i[t[nxt[i]] - t[i] < dead]
+    i = np.flatnonzero(nxt > 0)
+    i = i[t[nxt[i] - 1] - t[i] >= dead]
+    while len(i):
+        nxt[i] = np.searchsorted(t, t[nxt[i] - 1], side="left")
+        i = i[nxt[i] > 0]
+        i = i[t[nxt[i] - 1] - t[i] >= dead]
+
+    # a click at least `dead` after its predecessor is kept whatever came
+    # before (rounding of t - last is monotone in last); inside each run of
+    # closer clicks the kept ones are the nxt chain from the run's first.
+    # The chains are followed by pointer doubling: after round r every
+    # chain is marked to depth 2**r, so a long run costs log2 rounds
+    keep = np.zeros(n + 1, dtype=bool)
+    keep[0] = True
+    keep[1:n] = np.diff(t) >= dead
+    jump = np.append(nxt, n)
+    jump[keep[jump]] = n  # a chain ends where the next run starts
+    reached = np.flatnonzero(keep)
+    while True:
+        hit = jump[reached]
+        hit = hit[hit < n]
+        if not len(hit):
+            return t[keep[:n]]
+        keep[hit] = True
+        reached = np.concatenate([reached, hit])
+        jump = jump[jump]
 
 
 def apply_detector(channels, cfg: DetectionConfig, rng, duration):
@@ -133,17 +171,14 @@ def tac_mca_histogram(channels, cfg: DetectionConfig) -> CorrelationHistogram:
     span = tau_max - tau_min
     nbins = len(edges) - 1
     js = np.searchsorted(t3, stops, side="right") - 1
-    counts = np.zeros(nbins, dtype=np.int64)
-    last_consuming = -np.inf
-    for k in range(len(stops)):
-        j = js[k]
-        if j < 0 or t3[j] <= last_consuming:
-            continue
-        a = stops[k] - t3[j]
-        if a < span:
-            counts[min(int(a // cfg.bin_width), nbins - 1)] += 1
-        last_consuming = stops[k]
-    return CorrelationHistogram(edges, counts)
+    # a stop converts when it follows a start and is the first stop since
+    # that start: the previous conversion consumed any start before it
+    rec = (js >= 0) & np.r_[True, js[1:] != js[:-1]]
+    a = stops[rec] - t3[js[rec]]
+    a = a[a < span]  # over-range conversions still consume their start
+    # numpy's float // is Python's floor division, bin for bin
+    idx = np.minimum((a // cfg.bin_width).astype(np.int64), nbins - 1)
+    return CorrelationHistogram(edges, np.bincount(idx, minlength=nbins))
 
 
 def normalize(hist: CorrelationHistogram, norm_region) -> CorrelationHistogram:

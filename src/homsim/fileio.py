@@ -8,6 +8,7 @@ parses back to bit-identical parameters.
 from __future__ import annotations
 
 import dataclasses
+import operator
 
 import numpy as np
 
@@ -131,15 +132,27 @@ def write_config(path, rc: RunConfig):
         fh.write(format_config(rc))
 
 
+# rows per write in write_timetags: one joined string per block keeps the
+# writer's memory small next to the click arrays
+TAG_BLOCK = 65_536
+
+
 def write_timetags(path, channels):
-    """Merged click list, 'channel,time_ns', sorted by time."""
-    ch = np.concatenate([np.full(len(channels[c]), c, dtype=np.int64) for c in (3, 4)])
+    """Merged click list, 'channel,time_ns', sorted by time.  Times are
+    written with repr, so they read back bit-identical."""
+    labels = np.array(["3,", "4,"], dtype=object)
+    k = np.concatenate([np.full(len(channels[c]), i, dtype=np.int8) for i, c in enumerate((3, 4))])
     t = np.concatenate([np.asarray(channels[c], dtype=float) for c in (3, 4)])
     order = np.argsort(t, kind="stable")
+    k, t = k[order], t[order]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("channel,time_ns\n")
-        for c, ti in zip(ch[order], t[order]):
-            fh.write("%d,%s\n" % (c, repr(float(ti))))
+        for s in range(0, len(t), TAG_BLOCK):
+            # the repr of a list of floats is their reprs joined by ", ",
+            # made in one call instead of one format per row
+            reprs = repr(t[s : s + TAG_BLOCK].tolist())[1:-1].split(", ")
+            rows = map(operator.add, labels[k[s : s + TAG_BLOCK]].tolist(), reprs)
+            fh.write("\n".join(rows) + "\n")
 
 
 def read_timetags(path):

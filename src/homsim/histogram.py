@@ -105,7 +105,7 @@ def empirical_g2(stream, bin_width: float, max_tau: float) -> CorrelationHistogr
     return hist
 
 
-def pairwise_delay_counts(ts_a, ts_b, edges, chunk=500_000):
+def pairwise_delay_counts(ts_a, ts_b, edges, chunk=100_000):
     """Counts of t_b - t_a over all pairs, binned by edges.  Both arrays must
     be sorted ascending; work is chunked to bound memory."""
     ts_a = np.asarray(ts_a, dtype=float)

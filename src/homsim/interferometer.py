@@ -100,6 +100,14 @@ def match_pairs(n_photons, a_idx, b_idx, q, rng):
     so its unconditional acceptance stays ~q.  Photons whose summed q
     exceeds 1 cannot be fully served; the clamp makes those under-deliver
     slightly rather than distort their neighbours.
+
+    A fired pair is accepted when neither photon was taken by an accepted
+    pair earlier in that order (sequential greedy matching).  It is computed
+    in rounds: each round accepts every live fired pair that comes first in
+    order on both of its photons, then drops the pairs touching a photon now
+    used.  This gives exactly the sequential result, in few rounds for
+    random-like orders (Blelloch, Fineman & Shun, "Greedy sequential maximal
+    independent set and matching are parallel on average", SPAA 2012).
     """
     order = np.argsort(-q, kind="stable")
     a_o, b_o, q_o = a_idx[order], b_idx[order], q[order]
@@ -125,20 +133,35 @@ def match_pairs(n_photons, a_idx, b_idx, q, rng):
 
     p_fire = np.clip(q_o / np.maximum(s_a * s_b, Q_MIN), 0.0, 1.0)
     fired = rng.random(m) < p_fire
-    used = np.zeros(n_photons, dtype=bool)
+
     accepted = np.zeros(m, dtype=bool)
-    for k in np.flatnonzero(fired):
-        x, y = a_o[k], b_o[k]
-        if used[x] or used[y]:
-            continue
-        used[x] = used[y] = True
-        accepted[k] = True
+    used = np.zeros(n_photons, dtype=bool)
+    # earliest live pair per photon; reset only where set, so a round costs
+    # its live pairs, not n_photons
+    first = np.full(n_photons, m, dtype=np.int64)
+    live = np.flatnonzero(fired)
+    while len(live):
+        a, b = a_o[live], b_o[live]
+        np.minimum.at(first, a, live)
+        np.minimum.at(first, b, live)
+        win = live[(first[a] == live) & (first[b] == live)]
+        accepted[win] = True
+        used[a_o[win]] = True
+        used[b_o[win]] = True
+        first[a] = m
+        first[b] = m
+        live = live[~(used[a] | used[b])]
     return a_o, b_o, accepted
 
 
-def _candidate_pairs(routed: RoutedStream, p: EmitterParams, bs: BeamSplitterConfig, window, chunk=200_000):
+def _candidate_pairs(routed: RoutedStream, p: EmitterParams, bs: BeamSplitterConfig, window, chunk=50_000):
     """All opposite-arm pairs within the arrival window whose bunching
-    probability is non-negligible.  Returns (a_idx, b_idx, q)."""
+    probability is non-negligible.  Returns (a_idx, b_idx, q).
+
+    Long-arm photons are taken `chunk` at a time, which only partitions the
+    work; each expands to about ten window pairs at the experiment point, so
+    the chunk sets the peak memory of a parallel run.
+    """
     arrival = routed.arrival_times
     u = arrival + routed.envelope_delays
     idx_long = np.flatnonzero(routed.long_arm)

@@ -1,8 +1,14 @@
 """Command-line entry points, exercised in process through cli.main."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import homsim
 from homsim.cli import main
 from homsim.fileio import read_config, read_histogram
 
@@ -156,3 +162,13 @@ def test_exit_codes(tmp_path):
                         ("--config", str(greedy))):
         assert main(["simulate", flag, value, "--out", str(tmp_path / "bad")]) == 3
     assert not list(tmp_path.glob("bad*"))
+
+
+def test_cli_import_does_not_load_scipy():
+    # only analyze fits; simulate must not pay scipy's import time and memory
+    src = str(Path(homsim.__file__).resolve().parents[1])
+    code = "import sys, homsim.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
