@@ -10,12 +10,13 @@ background folded in convexly so the asymptote stays at 1.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coherence import EmitterParams, convolve_irf, g2_source, visibility
+from .coherence import FWHM_TO_SIGMA, EmitterParams, convolve_irf, g2_source, visibility
 from .detection import DetectionConfig, normalize
 from .histogram import CorrelationHistogram
 
@@ -120,8 +121,21 @@ def v0_from_histograms(h_par, h_orth, window=0.42):
     return visibility(h_par.normalized[sel].mean(), h_orth.normalized[sel].mean())
 
 
-def hom_model_curves(centers, bin_width, gamma_spon, gamma_pure, w_p, contrast, background, delta_t, irf_fwhm):
-    """Bin-averaged model for the parallel and orthogonal normalized curves."""
+def hom_model(centers, bin_width, gamma_spon, delta_t, irf_fwhm):
+    """Bin-averaged forward model of the parallel and orthogonal normalized
+    curves on fixed bins.
+
+    Everything that does not depend on the fitted parameters (the sub-bin
+    grid, the delays 0 and +-delta_t on it, |grid|) is built here once; the
+    returned curves(gamma_pure, w_p, contrast, background) gives the
+    (parallel, orthogonal) bin means.
+    """
+    if not (math.isfinite(bin_width) and bin_width > 0):
+        raise ValueError("bin_width must be positive and finite")
+    if not (math.isfinite(irf_fwhm) and irf_fwhm >= 0):
+        raise ValueError("irf_fwhm must be non-negative and finite")
+    if not math.isfinite(delta_t):
+        raise ValueError("delta_t must be finite")
     centers = np.asarray(centers, dtype=float)
     n_sub = FINE
     if irf_fwhm > 0:  # keep the sub-grid fine enough for the IRF kernel
@@ -129,22 +143,29 @@ def hom_model_curves(centers, bin_width, gamma_spon, gamma_pure, w_p, contrast, 
     step = bin_width / n_sub
     offs = (np.arange(n_sub) - (n_sub - 1) / 2.0) * step
     grid = (centers[:, None] + offs[None, :]).ravel()
-    p = EmitterParams(gamma_spon=gamma_spon, gamma_pure=gamma_pure, w_p=w_p)
-    base = (
-        0.5 * g2_source(grid, p)
-        + 0.25 * g2_source(grid - delta_t, p)
-        + 0.25 * g2_source(grid + delta_t, p)
-    )
-    kernel = 0.5 * contrast * np.exp(-(gamma_spon + 2.0 * gamma_pure) * np.abs(grid))
-    par = base - kernel
-    orth = base
-    if irf_fwhm > 0:
-        par = convolve_irf(grid, par, irf_fwhm)
-        orth = convolve_irf(grid, orth, irf_fwhm)
-    par = (1.0 - background) * par + background
-    orth = (1.0 - background) * orth + background
+    delays = np.stack([grid, grid - delta_t, grid + delta_t])
+    abs_grid = np.abs(grid)
     n = len(centers)
-    return par.reshape(n, n_sub).mean(axis=1), orth.reshape(n, n_sub).mean(axis=1)
+
+    def curves(gamma_pure, w_p, contrast, background):
+        p = EmitterParams(gamma_spon=gamma_spon, gamma_pure=gamma_pure, w_p=w_p)
+        g = g2_source(delays, p)
+        base = 0.5 * g[0] + 0.25 * g[1] + 0.25 * g[2]
+        kernel = 0.5 * contrast * np.exp(-(gamma_spon + 2.0 * gamma_pure) * abs_grid)
+        both = np.array([base - kernel, base])
+        if irf_fwhm > 0:
+            both = convolve_irf(grid, both, irf_fwhm)
+        both = (1.0 - background) * both + background
+        # bin means, row by row as for a single curve; sum / n_sub is what
+        # ndarray.mean computes, without its Python-level overhead
+        return both[0].reshape(n, n_sub).sum(axis=1) / n_sub, both[1].reshape(n, n_sub).sum(axis=1) / n_sub
+
+    return curves
+
+
+def hom_model_curves(centers, bin_width, gamma_spon, gamma_pure, w_p, contrast, background, delta_t, irf_fwhm):
+    """Bin-averaged model for the parallel and orthogonal normalized curves."""
+    return hom_model(centers, bin_width, gamma_spon, delta_t, irf_fwhm)(gamma_pure, w_p, contrast, background)
 
 
 def fit_hom_model(
@@ -185,15 +206,14 @@ def fit_hom_model(
     lo = np.array([_BOUNDS[k][0] for k in names])
     hi = np.array([_BOUNDS[k][1] for k in names])
 
+    model = hom_model(c_sel, width, gamma_spon, delta_t, det.irf_fwhm_pair)
     n_eval = [0]
 
     def objective(x):
         n_eval[0] += 1
         if np.any(x < lo) or np.any(x > hi):
             return 1e12 * (1.0 + float(np.sum(np.maximum(lo - x, 0) + np.maximum(x - hi, 0))))
-        m_par, m_orth = hom_model_curves(
-            c_sel, width, gamma_spon, x[0], x[1], x[2], x[3], delta_t, det.irf_fwhm_pair
-        )
+        m_par, m_orth = model(x[0], x[1], x[2], x[3])
         r = np.concatenate([(d_par - m_par) / s_par, (d_orth - m_orth) / s_orth])
         return float(r @ r)
 
@@ -220,10 +240,13 @@ def fit_hom_model(
     stderr = _curvature_stderr(objective, x, lo, hi)
     t2_hat = 1.0 / (0.5 * gamma_spon + x[0])
 
+    # the tau = 0 bin, with enough bins either side that the IRF kernel
+    # never reaches the grid's edge padding
+    k = int(np.ceil(5.0 * det.irf_fwhm_pair / FWHM_TO_SIGMA / width)) + 1
     m_par0, m_orth0 = hom_model_curves(
-        np.array([0.0]), width, gamma_spon, x[0], x[1], x[2], x[3], delta_t, det.irf_fwhm_pair
+        width * np.arange(-k, k + 1), width, gamma_spon, x[0], x[1], x[2], x[3], delta_t, det.irf_fwhm_pair
     )
-    v0_hat = visibility(float(m_par0[0]), float(m_orth0[0]))
+    v0_hat = visibility(float(m_par0[k]), float(m_orth0[k]))
 
     return HomFitResult(
         gamma_pure_hat=float(x[0]),

@@ -9,6 +9,7 @@ checked against these curves.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -122,33 +123,47 @@ def visibility(g2_par_0, g2_orth_0):
     return (g2_orth_0 - g2_par_0) / g2_orth_0
 
 
-def convolve_irf(tau, values, fwhm):
-    """Convolve a uniformly sampled curve with a unit-area Gaussian IRF.
-
-    fwhm = 0 returns the curve unchanged.  Otherwise the sampling step must
-    be <= fwhm/4; the kernel is truncated at +-5 sigma and edge-padded, which
-    preserves the integral of curves flat near the window edges.
-    """
-    tau = np.asarray(tau, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if tau.ndim != 1 or tau.shape != values.shape:
-        raise ValueError("tau and values must be 1-d arrays of equal length")
-    if fwhm < 0:
-        raise ValueError("fwhm must be non-negative")
-    if fwhm == 0:
-        return values.copy()
-    if len(tau) < 2:
-        raise ValueError("need at least two samples")
-    steps = np.diff(tau)
-    step = steps[0]
-    if step <= 0 or not np.allclose(steps, step, rtol=1e-6, atol=0):
-        raise ValueError("tau must be uniformly sampled")
-    if step > fwhm / 4 + 1e-12 * fwhm:
-        raise ValueError("sampling step must be <= fwhm/4")
+@functools.lru_cache(maxsize=64)
+def _irf_kernel(step, fwhm):
+    """Half-width in samples and the unit-sum Gaussian kernel (read-only,
+    as every caller shares it) for one sampling step and FWHM."""
     sigma = fwhm / FWHM_TO_SIGMA
     half = int(np.ceil(5.0 * sigma / step))
     x = step * np.arange(-half, half + 1)
     kernel = np.exp(-0.5 * (x / sigma) ** 2)
     kernel /= kernel.sum()
-    padded = np.pad(values, half, mode="edge")
-    return np.convolve(padded, kernel, mode="valid")
+    kernel.flags.writeable = False
+    return half, kernel
+
+
+def convolve_irf(tau, values, fwhm):
+    """Convolve a uniformly sampled curve with a unit-area Gaussian IRF.
+
+    values is one curve, or a 2-d array with one curve per row.  fwhm = 0
+    returns the curve unchanged.  Otherwise the sampling step must be
+    <= fwhm/4; the kernel is truncated at +-5 sigma and edge-padded, which
+    preserves the integral of curves flat near the window edges.
+    """
+    tau = np.asarray(tau, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if tau.ndim != 1 or values.ndim not in (1, 2) or values.shape[-1] != len(tau):
+        raise ValueError("tau must be 1-d and values 1-d or 2-d with rows as long as tau")
+    if fwhm < 0:
+        raise ValueError("fwhm must be non-negative")
+    if fwhm == 0:
+        return values.copy()
+    n = len(tau)
+    if n < 2:
+        raise ValueError("need at least two samples")
+    steps = tau[1:] - tau[:-1]
+    step = float(steps[0])
+    # every step within a relative 1e-6 of the first; a NaN sample fails
+    if not (step > 0 and abs(steps - step).max() <= 1e-6 * step):
+        raise ValueError("tau must be uniformly sampled")
+    if step > fwhm / 4 + 1e-12 * fwhm:
+        raise ValueError("sampling step must be <= fwhm/4")
+    half, kernel = _irf_kernel(step, float(fwhm))
+    padded = values[..., np.minimum(np.maximum(np.arange(-half, n + half), 0), n - 1)]
+    if values.ndim == 1:
+        return np.convolve(padded, kernel, mode="valid")
+    return np.array([np.convolve(row, kernel, mode="valid") for row in padded])

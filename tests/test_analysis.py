@@ -20,7 +20,8 @@ from homsim import (
     run_replicas,
     v0_from_histograms,
 )
-from homsim.analysis import hom_model_curves
+from homsim.analysis import hom_model, hom_model_curves
+from homsim.coherence import visibility
 
 T2_B = 2.88135593220338983
 
@@ -137,6 +138,28 @@ def test_model_curves_structure():
     assert abs(orth[i_far] - 1.0) < 0.02
 
 
+@pytest.mark.parametrize(
+    "bin_width, delta_t, irf_fwhm",
+    [
+        (0.21, 4.6, -1.0),
+        (0.21, 4.6, math.nan),
+        (0.21, 4.6, math.inf),
+        (0.0, 4.6, 0.42),
+        (-0.21, 4.6, 0.42),
+        (math.nan, 4.6, 0.42),
+        (math.inf, 4.6, 0.42),
+        (0.21, math.nan, 0.42),
+        (0.21, math.inf, 0.42),
+    ],
+)
+def test_model_rejects_bad_geometry(bin_width, delta_t, irf_fwhm):
+    c = np.array([-0.21, 0.0, 0.21])
+    with pytest.raises(ValueError):
+        hom_model(c, bin_width, 1 / 3.4, delta_t, irf_fwhm)
+    with pytest.raises(ValueError):
+        hom_model_curves(c, bin_width, 1 / 3.4, 0.2, 6.5, 0.7, 0.05, delta_t, irf_fwhm)
+
+
 def _synthetic_pair(gamma_pure, w_p, contrast, background, scale=2e6):
     det = DetectionConfig()
     edges = make_bin_edges(*det.mca_range, det.bin_width)
@@ -164,6 +187,14 @@ def test_fit_recovers_noise_free_synthetic():
     for s in (fit.stderr_gamma_pure, fit.stderr_w_p, fit.stderr_contrast, fit.stderr_background):
         assert np.isfinite(s) and s > 0
     assert fit.n_evaluations > 100
+    # v0_hat is the tau = 0 bin of the fitted model on a grid wide enough
+    # that the IRF never reaches its edges
+    wide = det.bin_width * np.arange(-20, 21)
+    m_par, m_orth = hom_model_curves(
+        wide, det.bin_width, 1 / 3.4, fit.gamma_pure_hat, fit.w_p_hat, fit.contrast_hat, fit.background_hat,
+        4.6, det.irf_fwhm_pair,
+    )
+    assert fit.v0_hat == pytest.approx(visibility(m_par[20], m_orth[20]), rel=1e-12)
 
 
 def test_fit_scale_invariance():

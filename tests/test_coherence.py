@@ -23,7 +23,7 @@ from homsim import (
     overlap_sq,
     visibility,
 )
-from homsim.coherence import FWHM_TO_SIGMA
+from homsim.coherence import FWHM_TO_SIGMA, _irf_kernel
 
 G1_A_AT_02 = 0.496585303791409515
 G2_SOURCE_A_AT_02 = 0.503414696208590485
@@ -184,6 +184,52 @@ def test_convolve_irf_validation():
         convolve_irf(np.linspace(0, 10, 11), vals, 0.42)
     with pytest.raises(ValueError):
         convolve_irf(np.array([0.0, 0.1, 0.25, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]), vals, 0.42)
+    tau = 0.1 * np.arange(11)
+    for k in (0, 5, 10):  # a NaN sample fails the uniformity test wherever it sits
+        bad = tau.copy()
+        bad[k] = np.nan
+        with pytest.raises(ValueError):
+            convolve_irf(bad, vals, 0.42)
+    # steps may deviate from the first by 1e-6 of it, and no more
+    step = tau[1] - tau[0]
+    for factor, ok in ((0.9e-6, True), (1.1e-6, False)):
+        off = tau.copy()
+        off[6:] += factor * step
+        if ok:
+            convolve_irf(off, vals, 0.42)
+        else:
+            with pytest.raises(ValueError):
+                convolve_irf(off, vals, 0.42)
+    for bad in (tau[::-1], np.zeros(11), np.r_[tau[:5], tau[4:10]]):  # decreasing, constant, repeated
+        with pytest.raises(ValueError):
+            convolve_irf(bad, vals, 0.42)
+    with pytest.raises(ValueError):
+        convolve_irf(tau, np.ones((2, 10)), 0.42)  # rows shorter than tau
+    with pytest.raises(ValueError):
+        convolve_irf(tau, np.ones((2, 2, 11)), 0.42)
+    with pytest.raises(ValueError):
+        convolve_irf(tau, vals, -0.42)
+    with pytest.raises(ValueError):
+        convolve_irf(tau[:1], vals[:1], 0.42)
+
+
+def test_convolve_irf_rows_and_cached_kernel():
+    tau = np.linspace(-5, 5, 401)
+    curves = np.array([np.exp(-np.abs(tau)), np.exp(-0.5 * tau**2)])
+    expect = [convolve_irf(tau, c, 0.4) for c in curves]
+    both = convolve_irf(tau, curves, 0.4)
+    assert both.shape == curves.shape
+    assert all(np.array_equal(b, e) for b, e in zip(both, expect))
+    # every call shares the cached kernel: it is read-only, and writing to a
+    # result cannot reach it
+    _, kernel = _irf_kernel(float(tau[1] - tau[0]), 0.4)
+    with pytest.raises(ValueError):
+        kernel[0] = 1.0
+    want = both.copy()
+    both[:] = 1e9
+    expect[0][:] = 1e9
+    assert np.array_equal(convolve_irf(tau, curves, 0.4), want)
+    assert np.array_equal(convolve_irf(tau, curves[0], 0.4), want[0])
 
 
 def test_fwhm_sigma_constant():

@@ -1,25 +1,32 @@
 """The vectorised matcher, TAC, dead time and tag writer against the loops
-they replaced.
+they replaced, and the fit's build-once forward model against the model it
+replaced.
 
-Each oracle below is the earlier per-element implementation, kept verbatim
-in its logic.  The new code must give the same accepted mask, the same
-histogram counts, the same kept clicks and the same file bytes: pinned-seed
-outputs stay bit-identical only if these agree on every input, including
-ties, lattice-valued times and dead times one ulp either side of a gap.
+Each oracle below is the earlier implementation, kept verbatim in its
+logic.  The new code must give the same accepted mask, the same histogram
+counts, the same kept clicks, the same file bytes and the same model bits:
+pinned-seed outputs and fit results stay bit-identical only if these agree
+on every input, including ties, lattice-valued times and dead times one ulp
+either side of a gap.
 """
 
+import dataclasses
+import math
 import os
 import tempfile
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homsim import fileio
-from homsim.detection import DetectionConfig, _dead_time_filter, tac_mca_histogram
+from homsim import analysis, fileio
+from homsim.coherence import FWHM_TO_SIGMA, EmitterParams, convolve_irf, g2_source
+from homsim.detection import DetectionConfig, _dead_time_filter, normalize, tac_mca_histogram
 from homsim.histogram import make_bin_edges
 from homsim.interferometer import Q_MIN, match_pairs
+from homsim.pipeline import default_run_config, run_replicas
 
 SETTINGS = settings(max_examples=300, deadline=None)
 
@@ -99,6 +106,58 @@ def _write_timetags_rows(path, channels):
         fh.write("channel,time_ns\n")
         for c, ti in zip(ch[order], t[order]):
             fh.write("%d,%s\n" % (c, repr(float(ti))))
+
+
+def _convolve_irf_padded(tau, values, fwhm):
+    tau = np.asarray(tau, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if tau.ndim != 1 or tau.shape != values.shape:
+        raise ValueError("tau and values must be 1-d arrays of equal length")
+    if fwhm < 0:
+        raise ValueError("fwhm must be non-negative")
+    if fwhm == 0:
+        return values.copy()
+    if len(tau) < 2:
+        raise ValueError("need at least two samples")
+    steps = np.diff(tau)
+    step = steps[0]
+    if step <= 0 or not np.allclose(steps, step, rtol=1e-6, atol=0):
+        raise ValueError("tau must be uniformly sampled")
+    if step > fwhm / 4 + 1e-12 * fwhm:
+        raise ValueError("sampling step must be <= fwhm/4")
+    sigma = fwhm / FWHM_TO_SIGMA
+    half = int(np.ceil(5.0 * sigma / step))
+    x = step * np.arange(-half, half + 1)
+    kernel = np.exp(-0.5 * (x / sigma) ** 2)
+    kernel /= kernel.sum()
+    padded = np.pad(values, half, mode="edge")
+    return np.convolve(padded, kernel, mode="valid")
+
+
+def _hom_model_curves_per_call(centers, bin_width, gamma_spon, gamma_pure, w_p, contrast, background, delta_t, irf_fwhm):
+    centers = np.asarray(centers, dtype=float)
+    n_sub = analysis.FINE
+    if irf_fwhm > 0:
+        n_sub = max(analysis.FINE, int(np.ceil(4.0 * bin_width / irf_fwhm - 1e-9)))
+    step = bin_width / n_sub
+    offs = (np.arange(n_sub) - (n_sub - 1) / 2.0) * step
+    grid = (centers[:, None] + offs[None, :]).ravel()
+    p = EmitterParams(gamma_spon=gamma_spon, gamma_pure=gamma_pure, w_p=w_p)
+    base = (
+        0.5 * g2_source(grid, p)
+        + 0.25 * g2_source(grid - delta_t, p)
+        + 0.25 * g2_source(grid + delta_t, p)
+    )
+    kernel = 0.5 * contrast * np.exp(-(gamma_spon + 2.0 * gamma_pure) * np.abs(grid))
+    par = base - kernel
+    orth = base
+    if irf_fwhm > 0:
+        par = _convolve_irf_padded(grid, par, irf_fwhm)
+        orth = _convolve_irf_padded(grid, orth, irf_fwhm)
+    par = (1.0 - background) * par + background
+    orth = (1.0 - background) * orth + background
+    n = len(centers)
+    return par.reshape(n, n_sub).mean(axis=1), orth.reshape(n, n_sub).mean(axis=1)
 
 
 # --- strategies -------------------------------------------------------------
@@ -241,3 +300,96 @@ def test_write_timetags_equals_row_writer(t3, t4, block):
         _write_timetags_rows(want, channels)
         with open(got, "rb") as g, open(want, "rb") as w:
             assert g.read() == w.read()
+
+
+# --- fit forward model ------------------------------------------------------
+
+FIT_PARAMS = st.tuples(*(st.floats(*analysis._BOUNDS[k]) for k in ("gamma_pure", "w_p", "contrast", "background")))
+
+
+def _fit_centers(bin_width, window):
+    edges = make_bin_edges(-24.99, 24.99, bin_width)
+    c = 0.5 * (edges[:-1] + edges[1:])
+    return c[np.abs(c) <= window]
+
+
+@SETTINGS
+@given(
+    x=FIT_PARAMS,
+    bin_width=st.sampled_from([0.21, 0.42]),
+    # 0.1 ns needs n_sub = 9 or 17 sub-samples per bin, more than FINE
+    irf_fwhm=st.sampled_from([0.0, 0.42, 0.1]),
+    delta_t=st.sampled_from([4.6, 0.0, 12.5]),
+    window=st.sampled_from([8.0, 1.0, 30.0]),
+)
+def test_hom_model_equals_per_call_model(x, bin_width, irf_fwhm, delta_t, window):
+    c = _fit_centers(bin_width, window)
+    want = _hom_model_curves_per_call(c, bin_width, 1 / 3.4, *x, delta_t, irf_fwhm)
+    for got in (
+        analysis.hom_model(c, bin_width, 1 / 3.4, delta_t, irf_fwhm)(*x),
+        analysis.hom_model_curves(c, bin_width, 1 / 3.4, *x, delta_t, irf_fwhm),
+    ):
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError:
+        return "ValueError"
+
+
+@SETTINGS
+@given(
+    data=st.data(),
+    n=st.integers(2, 60),
+    rows=st.integers(1, 3),
+    step=st.sampled_from([0.01, 0.042, 0.084, 0.1]),
+    start=st.floats(-30.0, 30.0),
+    fwhm=st.sampled_from([0.0, 0.42, 1.0, 0.3, 0.04]),
+)
+def test_convolve_irf_equals_padded_convolution(data, n, rows, step, start, fwhm):
+    tau = start + step * np.arange(n)
+    if data.draw(st.booleans()):
+        # one step off by about the 1e-6 relative bound, or a NaN sample
+        k = data.draw(st.integers(0, n - 1))
+        tau[k:] += data.draw(st.sampled_from([0.5e-6, 0.999e-6, 1.001e-6, 2e-6, -1.001e-6])) * step
+        if data.draw(st.booleans()):
+            tau[k] = np.nan
+    values = np.array(data.draw(st.lists(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n), min_size=rows, max_size=rows)))
+    got = _outcome(convolve_irf, tau, values, fwhm)
+    for r in range(rows):
+        want = _outcome(_convolve_irf_padded, tau, values[r], fwhm)
+        if isinstance(want, str):
+            assert got == want
+            assert _outcome(convolve_irf, tau, values[r], fwhm) == want
+        else:
+            np.testing.assert_array_equal(got[r], want)
+            np.testing.assert_array_equal(convolve_irf(tau, values[r], fwhm), want)
+
+
+@pytest.fixture(scope="module")
+def small_pair():
+    hists = []
+    for pol, seed in (("parallel", 21), ("orthogonal", 22)):
+        rc = default_run_config()
+        rc = dataclasses.replace(rc, interferometer=dataclasses.replace(rc.interferometer, pol_mode=pol), seed=seed)
+        _, h = run_replicas(rc)
+        hists.append(analysis.rebin(normalize(h, rc.norm_region), 2))
+    return hists
+
+
+def test_fit_with_per_call_model_is_bit_equal(small_pair):
+    def per_call_model(centers, bin_width, gamma_spon, delta_t, irf_fwhm):
+        return lambda *x: _hom_model_curves_per_call(centers, bin_width, gamma_spon, *x, delta_t, irf_fwhm)
+
+    det = default_run_config().detection
+    got = dataclasses.asdict(analysis.fit_hom_model(*small_pair, 1 / 3.4, det, 4.6))
+    with mock.patch.object(analysis, "hom_model", per_call_model):
+        want = dataclasses.asdict(analysis.fit_hom_model(*small_pair, 1 / 3.4, det, 4.6))
+    assert got["n_evaluations"] == want["n_evaluations"]
+    assert got["v0_hat"] == pytest.approx(want["v0_hat"], rel=1e-12)
+    # repr tells every float bit apart (signed zeros and NaN included)
+    assert {k: repr(v) for k, v in got.items() if k != "v0_hat"} == {k: repr(v) for k, v in want.items() if k != "v0_hat"}
+    assert all(math.isfinite(v) for v in got.values() if isinstance(v, float))
