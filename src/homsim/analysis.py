@@ -182,12 +182,10 @@ def fit_hom_model(
 
     gamma_spon is held fixed; gamma_pure, w_p and the background are shared
     between the curves while the interference contrast enters the parallel
-    one only.  Uses Nelder-Mead from the initial point plus three jittered
-    restarts; the model assumes a balanced splitter.
+    one only.  Levenberg-Marquardt within _BOUNDS from the initial point plus
+    three jittered restarts keeps the lowest rss; the model assumes a
+    balanced splitter.
     """
-    # imported here, its only use, so simulate never pays scipy's import
-    from scipy import optimize
-
     if h_par.normalized is None or h_orth.normalized is None:
         raise ValueError("both histograms must be normalized first")
     if not h_par.same_geometry(h_orth):
@@ -209,12 +207,15 @@ def fit_hom_model(
     model = hom_model(c_sel, width, gamma_spon, delta_t, det.irf_fwhm_pair)
     n_eval = [0]
 
-    def objective(x):
+    def residuals(x):
         n_eval[0] += 1
+        m_par, m_orth = model(x[0], x[1], x[2], x[3])
+        return np.concatenate([(d_par - m_par) / s_par, (d_orth - m_orth) / s_orth])
+
+    def objective(x):
         if np.any(x < lo) or np.any(x > hi):
             return 1e12 * (1.0 + float(np.sum(np.maximum(lo - x, 0) + np.maximum(x - hi, 0))))
-        m_par, m_orth = model(x[0], x[1], x[2], x[3])
-        r = np.concatenate([(d_par - m_par) / s_par, (d_orth - m_orth) / s_orth])
+        r = residuals(x)
         return float(r @ r)
 
     if init is None:
@@ -226,17 +227,12 @@ def fit_hom_model(
     converged = False
     for trial in range(4):
         start = x0 if trial == 0 else np.clip(x0 * np.exp(rng.normal(0, 0.15, 4)), lo + 1e-9, hi - 1e-9)
-        res = optimize.minimize(
-            objective,
-            start,
-            method="Nelder-Mead",
-            options={"maxfev": 10_000, "xatol": 1e-9, "fatol": 1e-10, "adaptive": True},
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-        converged = converged or bool(res.success)
+        x, rss, ok = _levenberg_marquardt(residuals, start, lo, hi)
+        if best is None or rss < best[1]:
+            best = (x, rss)
+        converged = converged or ok
 
-    x = best.x
+    x, rss = best
     stderr = _curvature_stderr(objective, x, lo, hi)
     t2_hat = 1.0 / (0.5 * gamma_spon + x[0])
 
@@ -259,33 +255,94 @@ def fit_hom_model(
         stderr_w_p=stderr[1],
         stderr_contrast=stderr[2],
         stderr_background=stderr[3],
-        rss=float(best.fun),
+        rss=rss,
         converged=converged,
         n_evaluations=n_eval[0],
     )
 
 
+def _levenberg_marquardt(residuals, x0, lo, hi):
+    """Minimise |residuals(x)|^2 within the box [lo, hi] by Levenberg-Marquardt.
+
+    The Jacobian is a forward difference, stepped into the box at an upper
+    bound.  A parameter at a bound whose gradient points out of the box is
+    held there for the step; the damped system solves
+    (J'J + lam diag) delta = -J'r, its diagonal floored so that a flat
+    column cannot make it singular, and the trial point is clipped to the
+    box.  Returns (x, rss, converged): converged when an accepted step lowers
+    the rss by at most 1e-12 relative, or when no step lowers it at all,
+    within 200 iterations.
+    """
+    x = np.array(x0, dtype=float)
+    r = residuals(x)
+    rss = float(r @ r)
+    lam = 1e-3
+    for _ in range(200):
+        h = 1.5e-8 * np.maximum(np.abs(x), 1.0)
+        h = np.where(x + h > hi, -h, h)
+        jac = np.empty((len(r), len(x)))
+        for j in range(len(x)):
+            xj = x.copy()
+            xj[j] += h[j]
+            jac[:, j] = (residuals(xj) - r) / h[j]
+        grad = jac.T @ r
+        free = ~(((x <= lo) & (grad > 0)) | ((x >= hi) & (grad < 0)))
+        if not np.any(grad[free]):
+            return x, rss, True
+        a = (jac.T @ jac)[np.ix_(free, free)]
+        damp = np.diag(np.maximum(np.diag(a), 1e-12 * np.trace(a)))
+        while True:
+            trial = x.copy()
+            trial[free] -= np.linalg.solve(a + lam * damp, grad[free])
+            trial = np.clip(trial, lo, hi)
+            r_trial = residuals(trial)
+            rss_trial = float(r_trial @ r_trial)
+            if rss_trial < rss:
+                break
+            lam *= 10.0
+            if lam > 1e10:
+                return x, rss, True
+        done = rss - rss_trial <= 1e-12 * rss
+        x, r, rss, lam = trial, r_trial, rss_trial, lam / 10.0
+        if done:
+            return x, rss, True
+    return x, rss, False
+
+
 def _curvature_stderr(objective, x, lo, hi):
-    """1-sigma errors from the finite-difference curvature of the weighted rss."""
+    """1-sigma errors from the finite-difference curvature of the weighted rss.
+
+    Every probe stays inside the box, so the out-of-box penalty never
+    contaminates the Hessian.  A coordinate within 2.5e-9 of a bound (the
+    fit returns exact bound values) has no room for central differences
+    and is differenced one-sided, into the box.
+    """
     n = len(x)
     h = np.maximum(1e-4 * np.abs(x), 1e-6)
-    # keep probe points inside the box so the penalty never contaminates H
-    h = np.minimum(h, np.maximum((hi - x) / 2.5, 1e-9))
-    h = np.minimum(h, np.maximum((x - lo) / 2.5, 1e-9))
+    side = np.where(x - lo < 2.5e-9, 1.0, np.where(hi - x < 2.5e-9, -1.0, 0.0))
+    h = np.where(side >= 0, np.minimum(h, (hi - x) / 2.5), h)
+    h = np.where(side <= 0, np.minimum(h, (x - lo) / 2.5), h)
+    steps = np.diag(np.where(side == 0, 1.0, side) * h)
     f0 = objective(x)
+    f1 = [objective(x + steps[i]) for i in range(n)]
     hess = np.empty((n, n))
     for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h[i]
-        hess[i, i] = (objective(x + ei) - 2 * f0 + objective(x - ei)) / h[i] ** 2
+        ei = steps[i]
+        if side[i]:
+            hess[i, i] = (objective(x + 2 * ei) - 2 * f1[i] + f0) / h[i] ** 2
+        else:
+            hess[i, i] = (f1[i] - 2 * f0 + objective(x - ei)) / h[i] ** 2
         for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = h[j]
-            fpp = objective(x + ei + ej)
-            fpm = objective(x + ei - ej)
-            fmp = objective(x - ei + ej)
-            fmm = objective(x - ei - ej)
-            hess[i, j] = hess[j, i] = (fpp - fpm - fmp + fmm) / (4 * h[i] * h[j])
+            ej = steps[j]
+            if side[i] or side[j]:
+                hess[i, j] = (objective(x + ei + ej) - f1[i] - f1[j] + f0) / (ei[i] * ej[j])
+            else:
+                fpp = objective(x + ei + ej)
+                fpm = objective(x + ei - ej)
+                fmp = objective(x - ei + ej)
+                fmm = objective(x - ei - ej)
+                hess[i, j] = (fpp - fpm - fmp + fmm) / (4 * h[i] * h[j])
+            hess[j, i] = hess[i, j]
     try:
         cov = 2.0 * np.linalg.inv(hess)
         diag = np.diag(cov)

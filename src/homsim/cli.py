@@ -78,6 +78,8 @@ def cmd_analytic(args):
     step = args.tau_step_ns if args.tau_step_ns is not None else tau_max / 40
     if not tau_max > 0 or not step > 0:
         raise ValueError("tau range and step must be positive")
+    if not 0 <= args.delta_t_ns < math.inf:
+        raise ValueError("delta_t_ns must be non-negative and finite")
     n = max(int(round(tau_max / step)), 1)
     tau = (np.arange(2 * n + 1) - n) * (tau_max / n)
 
@@ -146,7 +148,9 @@ def cmd_analyze(args):
         mca_range=(float(h_par.bin_edges[0]), float(h_par.bin_edges[-1])),
         bin_width=h_par.bin_width,
     )
-    v0_raw = analysis.v0_from_histograms(h_par, h_orth, window=args.irf_fwhm_ns)
+    # at least one bin wide: zero delay sits on a bin edge, so a narrower
+    # window (--irf-fwhm-ns 0) would select no bins
+    v0_raw = analysis.v0_from_histograms(h_par, h_orth, window=max(args.irf_fwhm_ns, h_par.bin_width))
 
     hp = analysis.rebin(h_par, args.bin)
     ho = analysis.rebin(h_orth, args.bin)

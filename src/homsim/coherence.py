@@ -148,8 +148,8 @@ def convolve_irf(tau, values, fwhm):
     values = np.asarray(values, dtype=float)
     if tau.ndim != 1 or values.ndim not in (1, 2) or values.shape[-1] != len(tau):
         raise ValueError("tau must be 1-d and values 1-d or 2-d with rows as long as tau")
-    if fwhm < 0:
-        raise ValueError("fwhm must be non-negative")
+    if not 0 <= fwhm < math.inf:
+        raise ValueError("fwhm must be non-negative and finite")
     if fwhm == 0:
         return values.copy()
     n = len(tau)

@@ -1,6 +1,7 @@
 """Rebinning, difference curves, and the joint correlation-curve fit."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from homsim import (
     run_replicas,
     v0_from_histograms,
 )
-from homsim.analysis import hom_model, hom_model_curves
+from homsim import analysis
+from homsim.analysis import _levenberg_marquardt, hom_model, hom_model_curves
 from homsim.coherence import visibility
 
 T2_B = 2.88135593220338983
@@ -195,6 +197,61 @@ def test_fit_recovers_noise_free_synthetic():
         4.6, det.irf_fwhm_pair,
     )
     assert fit.v0_hat == pytest.approx(visibility(m_par[20], m_orth[20]), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "truth",
+    [
+        (0.2, 6.5, 0.7, 0.05),  # the paper's operating point
+        (2.0, 20.0, 0.3, 0.3),  # strong dephasing
+        (0.0, 2.0, 1.0, 0.0),  # gamma_pure, contrast and background at a bound
+        (5.0, 50.0, 0.2, 0.45),  # gamma_pure, w_p and background at a bound
+    ],
+)
+def test_fit_recovers_noise_free_points(truth):
+    h_par, h_orth, det = _synthetic_pair(*truth)
+    fit = fit_hom_model(h_par, h_orth, 1 / 3.4, det, 4.6)
+    assert fit.converged
+    x = [fit.gamma_pure_hat, fit.w_p_hat, fit.contrast_hat, fit.background_hat]
+    np.testing.assert_allclose(x, truth, rtol=1e-4, atol=5e-5)
+
+
+def test_fit_at_bound_corner_probes_inside_box():
+    h_par, h_orth, det = _synthetic_pair(0.0, 2.0, 1.0, 0.0)
+    probes = []
+    curvature_stderr = analysis._curvature_stderr
+
+    def recording(objective, x, lo, hi):
+        def wrapped(p):
+            probes.append(np.all(lo <= p) and np.all(p <= hi))
+            return objective(p)
+
+        return curvature_stderr(wrapped, x, lo, hi)
+
+    with mock.patch.object(analysis, "_curvature_stderr", recording):
+        fit = fit_hom_model(h_par, h_orth, 1 / 3.4, det, 4.6)
+    assert fit.converged
+    assert fit.n_evaluations < 1000
+    # the case at hand: the fit ends on the contrast and background bounds
+    assert 1.0 - fit.contrast_hat <= 1e-9 and fit.background_hat <= 1e-9
+    assert probes and all(probes)
+    for s in (fit.stderr_gamma_pure, fit.stderr_w_p, fit.stderr_contrast, fit.stderr_background):
+        assert math.isfinite(s) and s > 1e-8
+
+
+def test_fit_rank_deficient_does_not_raise():
+    h_par, h_orth, det = _synthetic_pair(0.3, 2.0, 0.6, 0.08)
+    # the bins either side of zero mirror each other: four residuals of rank
+    # two for four parameters
+    fit = fit_hom_model(h_par, h_orth, 1 / 3.4, det, 4.6, fit_window=0.11)
+    assert all(math.isfinite(v) for v in (fit.gamma_pure_hat, fit.w_p_hat, fit.contrast_hat, fit.background_hat, fit.rss))
+    # a parameter the residuals ignore gives a zero Jacobian column
+    x, rss, converged = _levenberg_marquardt(
+        lambda x: np.array([x[0] - 0.5, 2.0 * (x[0] - 0.5)]), np.array([0.1, 0.3]), np.zeros(2), np.ones(2)
+    )
+    assert converged
+    assert x[0] == pytest.approx(0.5, abs=1e-9) and x[1] == 0.3
+    assert rss < 1e-15
 
 
 def test_fit_scale_invariance():

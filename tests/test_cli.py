@@ -149,6 +149,20 @@ def test_analyze_rejects_unnormalized(tmp_path, rng):
                  "--orth", str(tmp_path / "raw.csv")]) == 3
 
 
+def test_analyze_without_irf(tmp_path, capsys):
+    # zero delay is a bin edge, so the model-free window is one bin wide at least
+    for pol, seed in (("parallel", 31), ("orthogonal", 32)):
+        assert main(["simulate", "--seed", str(seed), "--duration-ns", "300000", "--pol", pol,
+                     "--out", str(tmp_path / pol)]) == 0
+    h_par, h_orth = (read_histogram(tmp_path / ("%s.hist.csv" % pol)) for pol in ("parallel", "orthogonal"))
+    assert main(["analyze", "--par", str(tmp_path / "parallel.hist.csv"), "--orth", str(tmp_path / "orthogonal.hist.csv"),
+                 "--irf-fwhm-ns", "0", "--out", str(tmp_path / "an")]) == 0
+    out = capsys.readouterr().out
+    v0 = homsim.v0_from_histograms(h_par, h_orth, window=h_par.bin_width)
+    assert "v0(window) %.3f" % v0 in out
+    assert (tmp_path / "an.results.txt").exists()
+
+
 def test_exit_codes(tmp_path):
     assert main(["no-such-command"]) == 2
     assert main(["analyze", "--par", str(tmp_path / "missing.csv"),
@@ -162,13 +176,40 @@ def test_exit_codes(tmp_path):
                         ("--config", str(greedy))):
         assert main(["simulate", flag, value, "--out", str(tmp_path / "bad")]) == 3
     assert not list(tmp_path.glob("bad*"))
+    for flag, value in (("--irf-fwhm-ns", "inf"), ("--irf-fwhm-ns", "nan"), ("--delta-t-ns", "nan"),
+                        ("--delta-t-ns", "inf"), ("--delta-t-ns", "-1")):
+        assert main(["analytic", flag, value, "--out", str(tmp_path / "bad.csv")]) == 3
+    assert not list(tmp_path.glob("bad*"))
 
 
 def test_cli_import_does_not_load_scipy():
-    # only analyze fits; simulate must not pay scipy's import time and memory
+    # homsim depends on numpy alone; the CLI must not pull scipy in
     src = str(Path(homsim.__file__).resolve().parents[1])
     code = "import sys, homsim.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_analyze_runs_without_scipy(tmp_path):
+    for pol, seed in (("parallel", 21), ("orthogonal", 22)):
+        assert main(["simulate", "--seed", str(seed), "--duration-ns", "300000", "--pol", pol,
+                     "--out", str(tmp_path / pol)]) == 0
+    src = str(Path(homsim.__file__).resolve().parents[1])
+    code = "\n".join([
+        "import sys",
+        "class Block:",
+        "    def find_spec(self, name, path=None, target=None):",
+        "        if name.split('.')[0] == 'scipy':",
+        "            raise ImportError('scipy is blocked')",
+        "sys.meta_path.insert(0, Block())",
+        "from homsim.cli import main",
+        "sys.exit(main(sys.argv[1:]))",
+    ])
+    args = ["analyze", "--par", str(tmp_path / "parallel.hist.csv"), "--orth", str(tmp_path / "orthogonal.hist.csv"),
+            "--out", str(tmp_path / "an")]
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code] + args, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "converged True" in proc.stdout

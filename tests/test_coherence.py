@@ -207,8 +207,9 @@ def test_convolve_irf_validation():
         convolve_irf(tau, np.ones((2, 10)), 0.42)  # rows shorter than tau
     with pytest.raises(ValueError):
         convolve_irf(tau, np.ones((2, 2, 11)), 0.42)
-    with pytest.raises(ValueError):
-        convolve_irf(tau, vals, -0.42)
+    for fwhm in (-0.42, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            convolve_irf(tau, vals, fwhm)
     with pytest.raises(ValueError):
         convolve_irf(tau[:1], vals[:1], 0.42)
 

@@ -393,3 +393,14 @@ def test_fit_with_per_call_model_is_bit_equal(small_pair):
     # repr tells every float bit apart (signed zeros and NaN included)
     assert {k: repr(v) for k, v in got.items() if k != "v0_hat"} == {k: repr(v) for k, v in want.items() if k != "v0_hat"}
     assert all(math.isfinite(v) for v in got.values() if isinstance(v, float))
+
+
+# rss of this pair's fit by four Nelder-Mead runs (scipy, maxfev 10,000,
+# xatol 1e-9, fatol 1e-10, adaptive), the solver before Levenberg-Marquardt
+NELDER_MEAD_RSS = 92.20009590425404
+
+
+def test_fit_rss_no_higher_than_nelder_mead(small_pair):
+    fit = analysis.fit_hom_model(*small_pair, 1 / 3.4, default_run_config().detection, 4.6)
+    assert fit.converged
+    assert fit.rss <= NELDER_MEAD_RSS * (1 + 1e-9)
