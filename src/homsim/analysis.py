@@ -30,6 +30,9 @@ _BOUNDS = {
     "background": (0.0, 0.45),
 }
 
+# the first of the fit's four starts; the other three jitter it
+_START = (0.3, 0.5, 0.6, 0.08)
+
 
 @dataclass
 class HomFitResult:
@@ -45,7 +48,7 @@ class HomFitResult:
     stderr_background: float
     rss: float
     converged: bool
-    n_evaluations: int
+    n_evaluations: int  # residuals calls, the error estimate's Jacobian included
 
 
 def rebin(hist: CorrelationHistogram, factor: int) -> CorrelationHistogram:
@@ -174,17 +177,15 @@ def fit_hom_model(
     gamma_spon: float,
     det: DetectionConfig,
     delta_t: float,
-    init=None,
     fit_window=8.0,
-    rng_seed=0,
 ) -> HomFitResult:
     """Joint Poisson-weighted least squares fit of both curves.
 
     gamma_spon is held fixed; gamma_pure, w_p and the background are shared
     between the curves while the interference contrast enters the parallel
     one only.  Levenberg-Marquardt within _BOUNDS from the initial point plus
-    three jittered restarts keeps the lowest rss; the model assumes a
-    balanced splitter.
+    three jittered restarts keeps the lowest rss; the errors come from the
+    Jacobian at that point.  The model assumes a balanced splitter.
     """
     if h_par.normalized is None or h_orth.normalized is None:
         raise ValueError("both histograms must be normalized first")
@@ -212,16 +213,8 @@ def fit_hom_model(
         m_par, m_orth = model(x[0], x[1], x[2], x[3])
         return np.concatenate([(d_par - m_par) / s_par, (d_orth - m_orth) / s_orth])
 
-    def objective(x):
-        if np.any(x < lo) or np.any(x > hi):
-            return 1e12 * (1.0 + float(np.sum(np.maximum(lo - x, 0) + np.maximum(x - hi, 0))))
-        r = residuals(x)
-        return float(r @ r)
-
-    if init is None:
-        init = (0.3, 0.5, 0.6, 0.08)
-    x0 = np.clip(np.asarray(init, dtype=float), lo + 1e-9, hi - 1e-9)
-    rng = np.random.default_rng(rng_seed)
+    x0 = np.array(_START)
+    rng = np.random.default_rng(0)
 
     best = None
     converged = False
@@ -233,7 +226,7 @@ def fit_hom_model(
         converged = converged or ok
 
     x, rss = best
-    stderr = _curvature_stderr(objective, x, lo, hi)
+    stderr = _curvature_stderr(_jacobian(residuals, x, residuals(x), hi))
     t2_hat = 1.0 / (0.5 * gamma_spon + x[0])
 
     # the tau = 0 bin, with enough bins either side that the IRF kernel
@@ -264,10 +257,9 @@ def fit_hom_model(
 def _levenberg_marquardt(residuals, x0, lo, hi):
     """Minimise |residuals(x)|^2 within the box [lo, hi] by Levenberg-Marquardt.
 
-    The Jacobian is a forward difference, stepped into the box at an upper
-    bound.  A parameter at a bound whose gradient points out of the box is
-    held there for the step; the damped system solves
-    (J'J + lam diag) delta = -J'r, its diagonal floored so that a flat
+    The Jacobian is _jacobian's.  A parameter at a bound whose gradient
+    points out of the box is held there for the step; the damped system
+    solves (J'J + lam diag) delta = -J'r, its diagonal floored so that a flat
     column cannot make it singular, and the trial point is clipped to the
     box.  Returns (x, rss, converged): converged when an accepted step lowers
     the rss by at most 1e-12 relative, or when no step lowers it at all,
@@ -278,13 +270,7 @@ def _levenberg_marquardt(residuals, x0, lo, hi):
     rss = float(r @ r)
     lam = 1e-3
     for _ in range(200):
-        h = 1.5e-8 * np.maximum(np.abs(x), 1.0)
-        h = np.where(x + h > hi, -h, h)
-        jac = np.empty((len(r), len(x)))
-        for j in range(len(x)):
-            xj = x.copy()
-            xj[j] += h[j]
-            jac[:, j] = (residuals(xj) - r) / h[j]
+        jac = _jacobian(residuals, x, r, hi)
         grad = jac.T @ r
         free = ~(((x <= lo) & (grad > 0)) | ((x >= hi) & (grad < 0)))
         if not np.any(grad[free]):
@@ -309,43 +295,27 @@ def _levenberg_marquardt(residuals, x0, lo, hi):
     return x, rss, False
 
 
-def _curvature_stderr(objective, x, lo, hi):
-    """1-sigma errors from the finite-difference curvature of the weighted rss.
+def _jacobian(residuals, x, r, hi):
+    """Forward-difference Jacobian of residuals at x, where r = residuals(x).
+    A coordinate too close to its upper bound is stepped downward, so every
+    probe stays in the box."""
+    h = 1.5e-8 * np.maximum(np.abs(x), 1.0)
+    h = np.where(x + h > hi, -h, h)
+    jac = np.empty((len(r), len(x)))
+    for j in range(len(x)):
+        xj = x.copy()
+        xj[j] += h[j]
+        jac[:, j] = (residuals(xj) - r) / h[j]
+    return jac
 
-    Every probe stays inside the box, so the out-of-box penalty never
-    contaminates the Hessian.  A coordinate within 2.5e-9 of a bound (the
-    fit returns exact bound values) has no room for central differences
-    and is differenced one-sided, into the box.
-    """
-    n = len(x)
-    h = np.maximum(1e-4 * np.abs(x), 1e-6)
-    side = np.where(x - lo < 2.5e-9, 1.0, np.where(hi - x < 2.5e-9, -1.0, 0.0))
-    h = np.where(side >= 0, np.minimum(h, (hi - x) / 2.5), h)
-    h = np.where(side <= 0, np.minimum(h, (x - lo) / 2.5), h)
-    steps = np.diag(np.where(side == 0, 1.0, side) * h)
-    f0 = objective(x)
-    f1 = [objective(x + steps[i]) for i in range(n)]
-    hess = np.empty((n, n))
-    for i in range(n):
-        ei = steps[i]
-        if side[i]:
-            hess[i, i] = (objective(x + 2 * ei) - 2 * f1[i] + f0) / h[i] ** 2
-        else:
-            hess[i, i] = (f1[i] - 2 * f0 + objective(x - ei)) / h[i] ** 2
-        for j in range(i + 1, n):
-            ej = steps[j]
-            if side[i] or side[j]:
-                hess[i, j] = (objective(x + ei + ej) - f1[i] - f1[j] + f0) / (ei[i] * ej[j])
-            else:
-                fpp = objective(x + ei + ej)
-                fpm = objective(x + ei - ej)
-                fmp = objective(x - ei + ej)
-                fmm = objective(x - ei - ej)
-                hess[i, j] = (fpp - fpm - fmp + fmm) / (4 * h[i] * h[j])
-            hess[j, i] = hess[i, j]
+
+def _curvature_stderr(jac):
+    """1-sigma errors sqrt(diag((J'J)^-1)) from the Jacobian of the weighted
+    residuals at the best point: J'J is the Gauss-Newton curvature of the
+    rss, half its Hessian.  A singular J'J or a non-positive variance gives
+    nan."""
     try:
-        cov = 2.0 * np.linalg.inv(hess)
-        diag = np.diag(cov)
-        return [float(np.sqrt(d)) if d > 0 else float("nan") for d in diag]
+        var = np.diag(np.linalg.inv(jac.T @ jac))
     except np.linalg.LinAlgError:
-        return [float("nan")] * n
+        return [float("nan")] * jac.shape[1]
+    return [float(np.sqrt(v)) if v > 0 else float("nan") for v in var]

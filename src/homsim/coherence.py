@@ -136,6 +136,17 @@ def _irf_kernel(step, fwhm):
     return half, kernel
 
 
+def uniform_step(tau):
+    """The step of an increasing, uniformly sampled axis of at least two
+    samples: every step within a relative 1e-6 of the first, else
+    ValueError (a NaN sample fails too)."""
+    steps = tau[1:] - tau[:-1]
+    step = float(steps[0])
+    if not (step > 0 and abs(steps - step).max() <= 1e-6 * step):
+        raise ValueError("tau must be uniformly sampled")
+    return step
+
+
 def convolve_irf(tau, values, fwhm):
     """Convolve a uniformly sampled curve with a unit-area Gaussian IRF.
 
@@ -155,11 +166,7 @@ def convolve_irf(tau, values, fwhm):
     n = len(tau)
     if n < 2:
         raise ValueError("need at least two samples")
-    steps = tau[1:] - tau[:-1]
-    step = float(steps[0])
-    # every step within a relative 1e-6 of the first; a NaN sample fails
-    if not (step > 0 and abs(steps - step).max() <= 1e-6 * step):
-        raise ValueError("tau must be uniformly sampled")
+    step = uniform_step(tau)
     if step > fwhm / 4 + 1e-12 * fwhm:
         raise ValueError("sampling step must be <= fwhm/4")
     half, kernel = _irf_kernel(step, float(fwhm))

@@ -12,7 +12,7 @@ import operator
 
 import numpy as np
 
-from .coherence import INSTANTANEOUS
+from .coherence import INSTANTANEOUS, uniform_step
 from .histogram import CorrelationHistogram
 from .pipeline import RunConfig, default_run_config
 
@@ -195,16 +195,17 @@ def read_histogram(path) -> CorrelationHistogram:
     counts = np.asarray(counts, dtype=np.int64)
     if len(centers) < 2:
         raise ValueError("histogram needs at least two bins")
-    width = centers[1] - centers[0]
+    width = uniform_step(centers)
     edges = np.concatenate([centers - width / 2, [centers[-1] + width / 2]])
     hist = CorrelationHistogram(edges, counts)
     norm = np.asarray(norm)
     if not np.all(np.isnan(norm)):
         hist.normalized = norm
         nz = (counts > 0) & ~np.isnan(norm) & (norm != 0)
-        if np.any(nz):
-            i = int(np.flatnonzero(nz)[0])
-            hist.normalization_constant = float(counts[i] / norm[i])
+        if not np.any(nz):
+            raise ValueError("normalized column has no bin with counts to fix its constant")
+        i = int(np.flatnonzero(nz)[0])
+        hist.normalization_constant = float(counts[i] / norm[i])
     return hist
 
 
@@ -216,13 +217,6 @@ def write_difference(path, dc):
                 "%s,%s,%s\n"
                 % (repr(float(dc.tau[i])), repr(float(dc.value[i])), repr(float(dc.sigma[i])))
             )
-
-
-def write_emission_csv(path, stream):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("photon_id,emission_time_ns\n")
-        for i, t in enumerate(stream.emission_times):
-            fh.write("%d,%s\n" % (i, repr(float(t))))
 
 
 RESULT_KEYS = (

@@ -55,7 +55,6 @@ class RoutedStream:
     arrival_times: np.ndarray
     long_arm: np.ndarray  # bool
     envelope_delays: np.ndarray
-    photon_ids: np.ndarray
 
     def __len__(self):
         return len(self.arrival_times)
@@ -67,12 +66,7 @@ def route(stream: PhotonStream, cfg: InterferometerConfig, rng) -> RoutedStream:
     long_arm = rng.random(n) < cfg.arm_prob_long
     arrival = stream.emission_times + cfg.delta_t * long_arm
     order = np.argsort(arrival, kind="stable")
-    return RoutedStream(
-        arrival[order],
-        long_arm[order],
-        stream.envelope_delays[order],
-        np.arange(n)[order],
-    )
+    return RoutedStream(arrival[order], long_arm[order], stream.envelope_delays[order])
 
 
 def bunching_probability(u_a, u_b, arr_a, arr_b, gamma_pure, bs: BeamSplitterConfig):
@@ -204,9 +198,10 @@ def interfere_stream(stream: PhotonStream, cfg: InterferometerConfig, p: Emitter
 
     c2 = math.cos(cfg.bs.theta) ** 2
     s2 = math.sin(cfg.bs.theta) ** 2
+    # port 3 with probability sin^2 (long arm) or cos^2 (short arm); two bool
+    # masks stand in for a float and an int64 array of n
     r = rng.random(n)
-    p3 = np.where(routed.long_arm, s2, c2)
-    ch = np.where(r < p3, 3, 4).astype(np.int8)
+    ch = np.where(np.where(routed.long_arm, r < s2, r < c2), np.int8(3), np.int8(4))
 
     if cfg.pol_mode == "parallel" and cfg.pairing == "weighted" and cfg.bs.mode_match > 0 and n > 1:
         a_idx, b_idx, q = _candidate_pairs(routed, p, cfg.bs, cfg.resolved_window(p))

@@ -219,22 +219,28 @@ def test_fit_recovers_noise_free_points(truth):
 def test_fit_at_bound_corner_probes_inside_box():
     h_par, h_orth, det = _synthetic_pair(0.0, 2.0, 1.0, 0.0)
     probes = []
-    curvature_stderr = analysis._curvature_stderr
+    build = analysis.hom_model
 
-    def recording(objective, x, lo, hi):
-        def wrapped(p):
-            probes.append(np.all(lo <= p) and np.all(p <= hi))
-            return objective(p)
+    def recording(*geometry):
+        curves = build(*geometry)
 
-        return curvature_stderr(wrapped, x, lo, hi)
+        def recorded(*x):
+            probes.append(x)
+            return curves(*x)
 
-    with mock.patch.object(analysis, "_curvature_stderr", recording):
+        return recorded
+
+    with mock.patch.object(analysis, "hom_model", recording):
         fit = fit_hom_model(h_par, h_orth, 1 / 3.4, det, 4.6)
     assert fit.converged
     assert fit.n_evaluations < 1000
     # the case at hand: the fit ends on the contrast and background bounds
     assert 1.0 - fit.contrast_hat <= 1e-9 and fit.background_hat <= 1e-9
-    assert probes and all(probes)
+    # every parameter vector that reaches the model, the solver's and the
+    # error estimate's Jacobian columns included, lies inside the box
+    assert len(probes) >= fit.n_evaluations
+    names = ("gamma_pure", "w_p", "contrast", "background")
+    assert all(analysis._BOUNDS[k][0] <= v <= analysis._BOUNDS[k][1] for x in probes for k, v in zip(names, x))
     for s in (fit.stderr_gamma_pure, fit.stderr_w_p, fit.stderr_contrast, fit.stderr_background):
         assert math.isfinite(s) and s > 1e-8
 
@@ -252,6 +258,14 @@ def test_fit_rank_deficient_does_not_raise():
     assert converged
     assert x[0] == pytest.approx(0.5, abs=1e-9) and x[1] == 0.3
     assert rss < 1e-15
+
+
+def test_curvature_stderr_is_gauss_newton():
+    # residuals linear in x: the covariance is exactly (J'J)^-1, and a
+    # correlated pair widens both marginal errors past 1/sqrt(diag(J'J))
+    np.testing.assert_allclose(analysis._curvature_stderr(np.array([[1.0, 1.0], [0.0, 1.0]])), [math.sqrt(2.0), 1.0])
+    np.testing.assert_allclose(analysis._curvature_stderr(np.diag([2.0, 4.0])), [0.5, 0.25])
+    assert all(math.isnan(s) for s in analysis._curvature_stderr(np.zeros((3, 2))))
 
 
 def test_fit_scale_invariance():

@@ -180,6 +180,17 @@ def test_exit_codes(tmp_path):
                         ("--delta-t-ns", "inf"), ("--delta-t-ns", "-1")):
         assert main(["analytic", flag, value, "--out", str(tmp_path / "bad.csv")]) == 3
     assert not list(tmp_path.glob("bad*"))
+    # a normalized column with no counts to recover its constant from, and a
+    # row missing outside the fit window, are bad input, not a traceback or a
+    # fit on the wrong axis
+    tau = [0.21 * k for k in range(-10, 11)]
+    cases = {"zeros": (tau, 0), "gap": (tau[:18] + tau[19:], 100)}
+    for name, (centers, count) in cases.items():
+        path = tmp_path / ("%s.hist.csv" % name)
+        path.write_text("tau_ns,counts,normalized\n" + "".join("%r,%d,1.0\n" % (c, count) for c in centers))
+        assert main(["analyze", "--par", str(path), "--orth", str(path), "--bin", "1", "--fit-window-ns", "1",
+                     "--out", str(tmp_path / "bad")]) == 3
+    assert not list(tmp_path.glob("bad*"))
 
 
 def test_cli_import_does_not_load_scipy():

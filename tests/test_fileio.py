@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homsim import CorrelationHistogram, HomFitResult, INSTANTANEOUS, default_run_config, make_bin_edges, normalize
 from homsim.fileio import (
@@ -16,7 +18,6 @@ from homsim.fileio import (
     read_histogram,
     read_timetags,
     write_config,
-    write_emission_csv,
     write_histogram,
     write_results,
     write_timetags,
@@ -109,6 +110,73 @@ def test_config_rejects_non_finite():
         build_run_config({"gamma_vib": "nan"})
 
 
+def _num(lo, hi, **kw):
+    return st.floats(lo, hi, **kw).map(repr)
+
+
+def _num_or(word, lo, hi):
+    return st.one_of(st.just(word), _num(lo, hi))
+
+
+@st.composite
+def config_text(draw):
+    """Text for every config key, spelled as format_config echoes it."""
+    out = draw(st.fixed_dictionaries({
+        "gamma_spon": _num(1e-3, 1e3),
+        "gamma_pure": _num(0.0, 1e3),
+        "w_p": _num(1e-3, 1e3),
+        "gamma_vib": _num_or("instantaneous", 1e-3, 1e3),
+        "delta_t": _num(0.0, 1e3),
+        "theta": _num(0.0, math.pi / 2),
+        "mode_match": _num(0.0, 1.0),
+        "pol_mode": st.sampled_from(["parallel", "orthogonal"]),
+        "arm_prob_long": _num(0.0, 1.0),
+        "pairing_window": _num_or("auto", 1e-3, 1e3),
+        "pairing": st.sampled_from(["weighted", "none"]),
+        "irf_fwhm_pair": _num(0.0, 10.0),
+        "efficiency_3": _num(0.0, 1.0),
+        "efficiency_4": _num(0.0, 1.0),
+        "dead_time_3": _num(0.0, 1e3),
+        "dead_time_4": _num(0.0, 1e3),
+        "background_fraction": _num(0.0, 1.0, exclude_max=True),
+        "electronic_delay": _num_or("auto", -1e3, 1e3),
+        "correlation_mode": st.sampled_from(["tac", "full"]),
+        "duration": _num(1e-3, 1e12),
+        "seed": st.integers(0, 2**32).map(repr),
+        "replicas": st.integers(1, 100).map(repr),
+        "norm_lo": _num(-1e3, 1e3),
+        "norm_hi": _num(-1e3, 1e3),
+    }))
+    # tau_max lies a whole number of bins above tau_min
+    width, tau_min = draw(st.floats(1e-3, 10.0)), draw(st.floats(-100.0, 100.0))
+    tau_max = tau_min + draw(st.integers(1, 1000)) * width
+    out.update(tau_min=repr(tau_min), tau_max=repr(tau_max), bin_width=repr(width))
+    return out
+
+
+# keys whose value must be a finite number (gamma_vib = inf means instantaneous)
+FINITE_ONLY = (
+    "gamma_spon", "gamma_pure", "w_p", "delta_t", "theta", "mode_match", "arm_prob_long", "pairing_window",
+    "irf_fwhm_pair", "efficiency_3", "efficiency_4", "dead_time_3", "dead_time_4", "background_fraction",
+    "electronic_delay", "tau_min", "tau_max", "bin_width", "duration", "norm_lo", "norm_hi",
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mapping=config_text(), bad_key=st.sampled_from(FINITE_ONLY), bad=st.sampled_from(["nan", "inf", "-inf"]))
+def test_config_roundtrip_generated(mapping, bad_key, bad):
+    assert set(mapping) == set(CONFIG_FIELDS)
+    rc = build_run_config(mapping)
+    text = format_config(rc)
+    # every value lands in its own field and echoes as it was written
+    assert parse_config_text(text) == mapping
+    rc2 = build_run_config(parse_config_text(text))
+    assert rc2 == rc
+    assert format_config(rc2) == text
+    with pytest.raises(ValueError):
+        build_run_config({**mapping, bad_key: bad})
+
+
 def test_config_parse_rules():
     got = parse_config_text("# full line comment\n\nseed = 7 # trailing comment\n")
     assert got == {"seed": "7"}
@@ -184,17 +252,3 @@ def test_results_roundtrip(tmp_path):
     assert float(vals["gamma_pure_hat_per_ns"]) == 0.21
     assert float(vals["t2_hat_ns"]) == 2.86
     assert vals["converged"] == "true"
-
-
-def test_emission_csv(tmp_path, strong_dephasing):
-    from homsim import StreamConfig, simulate_emission_stream
-
-    st = simulate_emission_stream(StreamConfig(strong_dephasing, 100.0, rng_seed=1))
-    path = tmp_path / "emission.csv"
-    write_emission_csv(path, st)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "photon_id,emission_time_ns"
-    assert len(lines) == len(st) + 1
-    first_id, first_t = lines[1].split(",")
-    assert first_id == "0"
-    assert float(first_t) == st.emission_times[0]

@@ -28,18 +28,20 @@ def _itf(**kw):
     return InterferometerConfig(**kw)
 
 
-def test_route_applies_exact_delay(strong_dephasing, rng):
+def test_route_applies_exact_delay(strong_dephasing):
     stream = simulate_emission_stream(StreamConfig(strong_dephasing, 3e3, rng_seed=4))
-    routed = route(stream, _itf(), rng)
+    routed = route(stream, _itf(), np.random.default_rng(7))
     assert len(routed) == len(stream)
     assert np.all(np.diff(routed.arrival_times) >= 0)
-    # arrival must be emission plus exactly 0 or exactly delta_t, per photon id;
-    # compare with the forward sum so the float op matches bit for bit
-    expected = stream.emission_times[routed.photon_ids] + 4.6 * routed.long_arm
-    np.testing.assert_array_equal(routed.arrival_times, expected)
-    delays = np.empty(len(stream))
-    delays[routed.photon_ids] = routed.envelope_delays
-    np.testing.assert_array_equal(delays, stream.envelope_delays)
+    # replay the arm draw: each photon's arrival is its emission plus exactly
+    # 0 or exactly delta_t (the forward sum, so the float op matches bit for
+    # bit), and its arm and envelope delay travel with it through the sort
+    long_arm = np.random.default_rng(7).random(len(stream)) < 0.5
+    arrival = stream.emission_times + 4.6 * long_arm
+    order = np.argsort(arrival, kind="stable")
+    np.testing.assert_array_equal(routed.arrival_times, arrival[order])
+    np.testing.assert_array_equal(routed.long_arm, long_arm[order])
+    np.testing.assert_array_equal(routed.envelope_delays, stream.envelope_delays[order])
 
 
 def test_route_arm_fraction_and_polarization(strong_dephasing):
@@ -119,7 +121,6 @@ def test_candidate_pairs_weights_and_window():
         arrival_times=np.array([0.0, 0.1]),
         long_arm=np.array([False, True]),
         envelope_delays=np.array([0.5, 0.6]),
-        photon_ids=np.array([0, 1]),
     )
     a, b, q = _candidate_pairs(routed, p, bs, window=5.0)
     assert (a.tolist(), b.tolist()) == ([1], [0])
@@ -130,7 +131,6 @@ def test_candidate_pairs_weights_and_window():
         arrival_times=np.array([0.0, 100.0]),
         long_arm=np.array([False, True]),
         envelope_delays=np.array([0.5, 0.6]),
-        photon_ids=np.array([0, 1]),
     )
     a, b, q = _candidate_pairs(far, p, bs, window=5.0)
     assert len(q) == 0
@@ -140,7 +140,6 @@ def test_candidate_pairs_weights_and_window():
         arrival_times=np.array([0.0, 5.0]),
         long_arm=np.array([False, True]),
         envelope_delays=np.array([1.0, 1.0]),
-        photon_ids=np.array([0, 1]),
     )
     a, b, q = _candidate_pairs(stale, p, bs, window=10.0)
     assert len(q) == 0
