@@ -8,7 +8,6 @@ parses back to bit-identical parameters.
 from __future__ import annotations
 
 import dataclasses
-import operator
 
 import numpy as np
 
@@ -132,27 +131,133 @@ def write_config(path, rc: RunConfig):
         fh.write(format_config(rc))
 
 
-# rows per write in write_timetags: one joined string per block keeps the
+# rows per write in write_timetags: one byte buffer per block keeps the
 # writer's memory small next to the click arrays
 TAG_BLOCK = 65_536
 
+_POW10 = np.array([float(10**i) for i in range(17)])  # all exact: 5**16 < 2**53
+_POW10_INT = 10 ** np.arange(18, dtype=np.int64)
+# the four ASCII digits of 0..9999, one uint32 each
+_DIGITS4 = np.arange(10_000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10
+_DIGITS4 = (_DIGITS4 + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+_MANTISSA = (1 << 52) - 1
+_MARGIN = 2.0**-40
+
+
+def _split(a):
+    """Veltkamp's split of a float64 into two halves of 26 bits."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _scale(x, k):
+    """x * 10**k exactly, as an int64 floor and a fraction in [0, 1), by
+    Dekker's two-product: the rounded product plus its exact error."""
+    b = _POW10[k]
+    prod = x * b
+    (xh, xl), (bh, bl) = _split(x), _split(b)
+    err = ((xh * bh - prod) + xh * bl + xl * bh) + xl * bl
+    floor = np.floor(err)
+    return prod.astype(np.int64) + floor.astype(np.int64), err - floor
+
+
+def _shortest_digits(x):
+    """For x in [1, 1e15): repr's digits of x as a 17-digit integer padded
+    with zeros, how many of them precede the decimal point, how many there
+    are, and whether the row is certified."""
+    k = 16 - np.floor(np.log10(x)).astype(np.int64)
+    y, frac = _scale(x, k)
+    half = np.spacing(x) * 0.5 * _POW10[k]  # exact: a power of two times 10**k
+    # y is out of range where log10 rounded across a power of ten
+    ok = (y >= _POW10_INT[16]) & (y < _POW10_INT[17]) & ((x.view(np.int64) & _MANTISSA) != 0)
+    count = np.full(len(x), 17)
+    live = np.flatnonzero(ok)
+    for p in range(16, 0, -1):
+        unit = _POW10_INT[17 - p]
+        yl, fl = y[live], frac[live]
+        rest = yl - yl // unit * unit
+        below, above = rest + fl, (unit - rest) - fl
+        gap = np.minimum(below, above) - half[live]
+        inside = gap < -_MARGIN
+        unsure = (np.abs(gap) <= _MARGIN) | (inside & (below == above))
+        ok[live[unsure]] = False
+        live = live[inside & ~unsure]
+        if not len(live):
+            break
+        count[live] = p
+    ok &= (count < 17) | (frac != 0.5)
+    unit = _POW10_INT[17 - count]
+    q = y // unit
+    rest = y - q * unit
+    digits = (q + ((unit - rest) - frac < rest + frac)) * unit
+    return digits, 17 - k, count, ok
+
+
+def _tag_rows(k, t):
+    """The rows b'%d,%r\\n' % (3 + k, t) of one sorted block, as one buffer."""
+    fast = np.flatnonzero((t >= 1.0) & (t < 1e15))
+    digits, decpt, count, ok = _shortest_digits(t[fast])
+    good = fast[ok]
+    digits, decpt, count = digits[ok], decpt[ok], count[ok]
+    top = digits // _POW10_INT[16]
+    rest = digits - top * _POW10_INT[16]
+    hi = rest // _POW10_INT[8]
+    lo = rest - hi * _POW10_INT[8]
+    hi_a, lo_a = hi // 10_000, lo // 10_000
+    quads = np.stack([top, hi_a, hi - hi_a * 10_000, lo_a, lo - lo_a * 10_000], axis=1)
+    text = _DIGITS4[quads].view(np.uint8)[:, 3:]  # "000" then the 17 digits
+    rows = np.empty((len(good), 21), dtype=np.uint8)
+    rows[:, 0] = k[good] + ord("3")
+    rows[:, 1] = ord(",")
+    # the times are sorted, so the rows of each decpt form one run
+    ends = np.searchsorted(decpt, np.arange(1, 17))
+    for d in range(1, 16):
+        run = slice(ends[d - 1], ends[d])
+        rows[run, 2 : 2 + d] = text[run, :d]
+        rows[run, 2 + d] = ord(".")
+        rows[run, 3 + d : 20] = text[run, d:]
+    length = (decpt + np.maximum(count - decpt, 1) + 4).astype(np.uint8)
+    rows[np.arange(len(good)), length - 1] = ord("\n")
+    data = rows[np.arange(21, dtype=np.uint8) < length[:, None]].tobytes()
+    # the rows the fast path did not certify go in with repr, in place
+    certified = np.zeros(len(t), dtype=bool)
+    certified[good] = True
+    slow = np.flatnonzero(~certified)
+    cuts = np.concatenate([[0], np.cumsum(length, dtype=np.int64)])[np.searchsorted(good, slow)]
+    parts, prev = [], 0
+    for i, cut in zip(slow.tolist(), cuts.tolist()):
+        parts += [data[prev:cut], b"%d,%r\n" % (3 + k[i], float(t[i]))]
+        prev = cut
+    return b"".join(parts + [data[prev:]])
+
 
 def write_timetags(path, channels):
-    """Merged click list, 'channel,time_ns', sorted by time.  Times are
-    written with repr, so they read back bit-identical."""
-    labels = np.array(["3,", "4,"], dtype=object)
+    """Merged click list, 'channel,time_ns', sorted by time.
+
+    Each row is exactly b'%d,%r' % (channel, time).  repr gives the
+    shortest digits that read back to the same float, so the tags read
+    back bit-identical.  numpy formats the rows in blocks of TAG_BLOCK, and
+    the result is exact: for x in [1, 1e15), y = x * 10**k lies in
+    [1e16, 1e17) with k <= 16, so 10**k is exact and Dekker's two-product
+    gives y exactly.  x's rounding interval is y +- spacing(x)/2 * 10**k,
+    also exact.  The 17-digit rounding of y always lies inside it; p digits
+    read back to x when the nearest multiple of 10**(17 - p) does, and
+    repr's digits are that multiple for the smallest such p.  A row falls
+    back to repr when x lies outside [1, 1e15), when its mantissa is a
+    power of two (the interval is lopsided), when a distance lies within
+    2**-40 of the interval's edge (the edge reads back by half-even rules),
+    when two candidates tie, or when log10 misjudged k next to a power of
+    ten.
+    """
     k = np.concatenate([np.full(len(channels[c]), i, dtype=np.int8) for i, c in enumerate((3, 4))])
     t = np.concatenate([np.asarray(channels[c], dtype=float) for c in (3, 4)])
     order = np.argsort(t, kind="stable")
     k, t = k[order], t[order]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("channel,time_ns\n")
+    with open(path, "wb") as fh:
+        fh.write(b"channel,time_ns\n")
         for s in range(0, len(t), TAG_BLOCK):
-            # the repr of a list of floats is their reprs joined by ", ",
-            # made in one call instead of one format per row
-            reprs = repr(t[s : s + TAG_BLOCK].tolist())[1:-1].split(", ")
-            rows = map(operator.add, labels[k[s : s + TAG_BLOCK]].tolist(), reprs)
-            fh.write("\n".join(rows) + "\n")
+            fh.write(_tag_rows(k[s : s + TAG_BLOCK], t[s : s + TAG_BLOCK]))
 
 
 def read_timetags(path):
@@ -161,9 +266,12 @@ def read_timetags(path):
         header = fh.readline().strip()
         if header != "channel,time_ns":
             raise ValueError("unexpected time-tag header %r" % header)
-        for line in fh:
+        for lineno, line in enumerate(fh, 2):
             c, t = line.strip().split(",")
-            chs.append(int(c))
+            ch = int(c)
+            if ch not in (3, 4):
+                raise ValueError("line %d: channel %d is not 3 or 4" % (lineno, ch))
+            chs.append(ch)
             ts.append(float(t))
     chs = np.asarray(chs, dtype=np.int64)
     ts = np.asarray(ts, dtype=float)

@@ -209,9 +209,10 @@ def test_timetags_roundtrip(tmp_path):
     np.testing.assert_array_equal(back[3], channels[3])
     np.testing.assert_array_equal(back[4], channels[4])
     bad = tmp_path / "bad.csv"
-    bad.write_text("time,chan\n")
-    with pytest.raises(ValueError):
-        read_timetags(bad)
+    for text in ("time,chan\n", "channel,time_ns\n3,0.5\n5,1.0\n"):
+        bad.write_text(text)
+        with pytest.raises(ValueError):
+            read_timetags(bad)
 
 
 def test_histogram_roundtrip(tmp_path, rng):

@@ -282,7 +282,23 @@ def test_dead_time_edge_cases():
 
 # --- tag writer -------------------------------------------------------------
 
-TAG_VALUES = st.floats(allow_nan=False) | st.sampled_from([0.0, -0.0, 5e-324, 1e-7, 1e16, 1.2345678901234567e16, -1e22])
+# The writer's fast path covers [1, 1e15).  Powers of two, the neighbours
+# of short decimals (d * 10**n, 0.1, 2.5), x with exactly 17 bits after the
+# point (x * 1e16 is often a half-way tie) and decimals of 1 to 17 digits
+# test where it must fall back to repr or stop at few digits.
+TAG_EDGES = [
+    float(np.nextafter(x, towards))
+    for x in [0.1, 2.5] + [d * 10.0**n for d in range(1, 10) for n in range(16)]
+    for towards in (-np.inf, x, np.inf)
+]
+TAG_VALUES = (
+    st.floats(allow_nan=False)
+    | st.floats(1.0, 1e15)
+    | st.integers(-1074, 1023).map(lambda e: 2.0**e)
+    | st.sampled_from(TAG_EDGES + [0.0, -0.0, 5e-324, 1e-7, 1e16, 1.2345678901234567e16, -1e22])
+    | st.integers(0, 2**20).map(lambda m: 1.0 + m / 2**17)
+    | st.builds(lambda digits, x: float("%.*g" % (digits, x)), st.integers(1, 17), st.floats(1.0, 1e15))
+)
 
 
 @SETTINGS
@@ -300,6 +316,20 @@ def test_write_timetags_equals_row_writer(t3, t4, block):
         _write_timetags_rows(want, channels)
         with open(got, "rb") as g, open(want, "rb") as w:
             assert g.read() == w.read()
+
+
+def test_write_timetags_equals_row_writer_on_a_run(tmp_path):
+    # two full blocks and one row of a simulated run's tags
+    rc = default_run_config()
+    rc = dataclasses.replace(rc, duration=2.5e5, seed=17, replicas=2)
+    tags, _ = run_replicas(rc)
+    cut = np.sort(np.concatenate([tags[3], tags[4]]))[2 * fileio.TAG_BLOCK + 1]
+    channels = {c: tags[c][tags[c] < cut] for c in (3, 4)}
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    fileio.write_timetags(got, channels)
+    _write_timetags_rows(want, channels)
+    assert want.read_text().count("\n") == 2 * fileio.TAG_BLOCK + 2
+    assert got.read_bytes() == want.read_bytes()
 
 
 # --- fit forward model ------------------------------------------------------
