@@ -88,6 +88,13 @@ class DifferenceCurve:
     defined: np.ndarray  # False where the reference histogram has no counts
 
 
+def _normalized_pair(h_a, h_b):
+    if h_a.normalized is None or h_b.normalized is None:
+        raise ValueError("both histograms must be normalized first")
+    if not h_a.same_geometry(h_b):
+        raise ValueError("histogram geometries differ")
+
+
 def _norm_sigma(hist):
     return np.sqrt(np.maximum(hist.counts, 1)) / hist.normalization_constant
 
@@ -98,10 +105,7 @@ def difference_curve(h_a: CorrelationHistogram, h_b: CorrelationHistogram) -> Di
     With a = parallel and b = orthogonal this is the interference visibility
     curve; with two same-mode runs it is a null consistency check.
     """
-    if not h_a.same_geometry(h_b):
-        raise ValueError("histogram geometries differ")
-    if h_a.normalized is None or h_b.normalized is None:
-        raise ValueError("both histograms must be normalized first")
+    _normalized_pair(h_a, h_b)
     a, b = h_a.normalized, h_b.normalized
     sa, sb = _norm_sigma(h_a), _norm_sigma(h_b)
     defined = b > 0
@@ -114,10 +118,7 @@ def difference_curve(h_a: CorrelationHistogram, h_b: CorrelationHistogram) -> Di
 
 def v0_from_histograms(h_par, h_orth, window=0.42):
     """Visibility from the mean normalized level within |tau| <= window/2."""
-    if h_par.normalized is None or h_orth.normalized is None:
-        raise ValueError("both histograms must be normalized first")
-    if not h_par.same_geometry(h_orth):
-        raise ValueError("histogram geometries differ")
+    _normalized_pair(h_par, h_orth)
     sel = np.abs(h_par.bin_centers) <= window / 2
     if not np.any(sel):
         raise ValueError("window selects no bins")
@@ -187,10 +188,7 @@ def fit_hom_model(
     three jittered restarts keeps the lowest rss; the errors come from the
     Jacobian at that point.  The model assumes a balanced splitter.
     """
-    if h_par.normalized is None or h_orth.normalized is None:
-        raise ValueError("both histograms must be normalized first")
-    if not h_par.same_geometry(h_orth):
-        raise ValueError("histogram geometries differ")
+    _normalized_pair(h_par, h_orth)
 
     centers = h_par.bin_centers
     sel = np.abs(centers) <= fit_window
@@ -227,7 +225,6 @@ def fit_hom_model(
 
     x, rss = best
     stderr = _curvature_stderr(_jacobian(residuals, x, residuals(x), hi))
-    t2_hat = 1.0 / (0.5 * gamma_spon + x[0])
 
     # the tau = 0 bin, with enough bins either side that the IRF kernel
     # never reaches the grid's edge padding
@@ -242,7 +239,7 @@ def fit_hom_model(
         w_p_hat=float(x[1]),
         contrast_hat=float(x[2]),
         background_hat=float(x[3]),
-        t2_hat=float(t2_hat),
+        t2_hat=float(EmitterParams(gamma_spon, x[0], x[1]).t2),
         v0_hat=float(v0_hat),
         stderr_gamma_pure=stderr[0],
         stderr_w_p=stderr[1],

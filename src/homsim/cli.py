@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -26,11 +27,10 @@ def build_parser():
     p = argparse.ArgumentParser(prog="homsim", description="two-photon interference simulator for a dephasing single emitter")
     sub = p.add_subparsers(dest="command", required=True)
 
-    pa = sub.add_parser("analytic", help="write the closed-form correlation curves as CSV")
+    pa = sub.add_parser("analytic", help="write the closed-form correlation curves (long-delay limit) as CSV")
     _add_emitter_flags(pa, 1.0, 3.0, 2.5)
     pa.add_argument("--theta", type=float, default=math.pi / 4, help="splitter angle (rad)")
     pa.add_argument("--mode-match", type=float, default=1.0)
-    pa.add_argument("--delta-t-ns", type=float, default=4.6)
     pa.add_argument("--irf-fwhm-ns", type=float, default=0.42)
     pa.add_argument("--tau-max-ns", type=float, default=None, help="default 0.5/gamma_spon")
     pa.add_argument("--tau-step-ns", type=float, default=None, help="default tau_max/40")
@@ -57,9 +57,10 @@ def build_parser():
     pn.add_argument("--orth", required=True, help="orthogonal histogram CSV")
     pn.add_argument("--bin", type=int, default=2, help="rebin factor for the fitted curves")
     pn.add_argument("--bin-diff", type=int, default=7, help="rebin factor for the difference curve")
-    pn.add_argument("--gamma-spon", type=float, default=1.0 / 3.4)
-    pn.add_argument("--delta-t-ns", type=float, default=4.6)
-    pn.add_argument("--irf-fwhm-ns", type=float, default=0.42)
+    rc = pipeline.default_run_config()
+    pn.add_argument("--gamma-spon", type=float, default=rc.emitter.gamma_spon)
+    pn.add_argument("--delta-t-ns", type=float, default=rc.interferometer.delta_t)
+    pn.add_argument("--irf-fwhm-ns", type=float, default=rc.detection.irf_fwhm_pair)
     pn.add_argument("--fit-window-ns", type=float, default=8.0)
     pn.add_argument("--out", default="analysis", help="output path prefix")
     pn.set_defaults(func=cmd_analyze)
@@ -78,12 +79,11 @@ def cmd_analytic(args):
     step = args.tau_step_ns if args.tau_step_ns is not None else tau_max / 40
     if not tau_max > 0 or not step > 0:
         raise ValueError("tau range and step must be positive")
-    if not 0 <= args.delta_t_ns < math.inf:
-        raise ValueError("delta_t_ns must be non-negative and finite")
     n = max(int(round(tau_max / step)), 1)
     tau = (np.arange(2 * n + 1) - n) * (tau_max / n)
 
     curves = {
+        "tau_ns": tau,
         "g1": coherence.g1(tau, p),
         "g2_source": coherence.g2_source(tau, p),
         "g2_par": coherence.g2_34(tau, p, bs, "parallel"),
@@ -92,21 +92,13 @@ def cmd_analytic(args):
     curves["g2_par_irf"] = coherence.convolve_irf(tau, curves["g2_par"], args.irf_fwhm_ns)
     curves["g2_orth_irf"] = coherence.convolve_irf(tau, curves["g2_orth"], args.irf_fwhm_ns)
 
-    lines = [
-        "# gamma_spon = %s, gamma_pure = %s, w_p = %s, theta = %s, mode_match = %s, delta_t_ns = %s, irf_fwhm_ns = %s"
-        % tuple(repr(v) for v in (p.gamma_spon, p.gamma_pure, p.w_p, bs.theta, bs.mode_match, args.delta_t_ns, args.irf_fwhm_ns)),
-        "# t2_ns = %.2f" % p.t2,
-        "tau_ns,g1,g2_source,g2_par,g2_orth,g2_par_irf,g2_orth_irf",
-    ]
-    cols = ("g1", "g2_source", "g2_par", "g2_orth", "g2_par_irf", "g2_orth_irf")
-    for i in range(len(tau)):
-        lines.append(",".join([repr(float(tau[i]))] + [repr(float(curves[c][i])) for c in cols]))
-    text = "\n".join(lines) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    out = nullcontext(sys.stdout) if args.out is None else open(args.out, "w", encoding="utf-8", newline="\n")
+    with out as fh:
+        fh.write(
+            "# gamma_spon = %r, gamma_pure = %r, w_p = %r, theta = %r, mode_match = %r, irf_fwhm_ns = %r\n"
+            "# t2_ns = %.2f\n" % (p.gamma_spon, p.gamma_pure, p.w_p, bs.theta, bs.mode_match, args.irf_fwhm_ns, p.t2)
+        )
+        fileio.write_table(fh, ",".join(curves), list(curves.values()))
     return 0
 
 
@@ -139,9 +131,6 @@ def cmd_simulate(args):
 def cmd_analyze(args):
     h_par = fileio.read_histogram(args.par)
     h_orth = fileio.read_histogram(args.orth)
-    for name, h in (("par", h_par), ("orth", h_orth)):
-        if h.normalized is None:
-            raise ValueError("%s histogram is not normalized; run simulate first" % name)
 
     det = detection.DetectionConfig(
         irf_fwhm_pair=args.irf_fwhm_ns,

@@ -181,20 +181,25 @@ def tac_mca_histogram(channels, cfg: DetectionConfig) -> CorrelationHistogram:
     return CorrelationHistogram(edges, np.bincount(idx, minlength=nbins))
 
 
-def normalize(hist: CorrelationHistogram, norm_region) -> CorrelationHistogram:
-    """Scale counts so the mean over |tau| in norm_region is 1."""
+def norm_bins(centers, norm_region):
+    """The bins whose |center| lies in norm_region = (lo, hi); ValueError
+    unless 0 <= lo < hi and at least one bin is selected."""
     lo, hi = norm_region
     if not 0 <= lo < hi:
         raise ValueError("norm_region must satisfy 0 <= lo < hi")
-    centers = np.abs(hist.bin_centers)
-    sel = (centers >= lo) & (centers <= hi)
+    sel = (np.abs(centers) >= lo) & (np.abs(centers) <= hi)
     if not np.any(sel):
         raise ValueError("norm_region selects no bins")
-    level = hist.counts[sel].mean()
+    return sel
+
+
+def normalize(hist: CorrelationHistogram, norm_region) -> CorrelationHistogram:
+    """Scale counts so the mean over |tau| in norm_region is 1."""
+    level = hist.counts[norm_bins(hist.bin_centers, norm_region)].mean()
     if level <= 0:
         raise ValueError("norm_region has zero counts")
     out = hist.copy()
     out.normalized = hist.counts / level
     out.normalization_constant = float(level)
-    out.norm_region = (float(lo), float(hi))
+    out.norm_region = tuple(float(v) for v in norm_region)
     return out

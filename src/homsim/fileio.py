@@ -1,13 +1,15 @@
-"""Flat key=value run configs and the CSV formats.
+"""Flat key=value run configs and the CSV tables.
 
 All text I/O is LF-terminated, comma-separated with '.' decimals, one header
-row per CSV.  Floats are written with repr so a config echoed after a run
-parses back to bit-identical parameters.
+row per CSV, written by write_table (the time tags by their own faster
+writer) and read by read_table.  Floats are written with repr so a config
+echoed after a run parses back to bit-identical parameters.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import warnings
 
 import numpy as np
 
@@ -260,96 +262,83 @@ def write_timetags(path, channels):
             fh.write(_tag_rows(k[s : s + TAG_BLOCK], t[s : s + TAG_BLOCK]))
 
 
-def read_timetags(path):
-    chs, ts = [], []
+def write_table(fh, header, columns):
+    """The header row, then row i of every column: the repr of its tolist()
+    value, so floats read back bit-identical, or empty for a None column."""
+    n = max(len(c) for c in columns if c is not None)
+    cells = [[""] * n if c is None else [repr(v) for v in np.asarray(c).tolist()] for c in columns]
+    fh.write(header + "\n")
+    fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+
+
+def read_table(path, header, dtype):
+    """The rows under the header (checked with whitespace stripped), blank
+    lines skipped, as a 1-d structured array; a ragged row or bad cell is a
+    ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "channel,time_ns":
-            raise ValueError("unexpected time-tag header %r" % header)
-        for lineno, line in enumerate(fh, 2):
-            c, t = line.strip().split(",")
-            ch = int(c)
-            if ch not in (3, 4):
-                raise ValueError("line %d: channel %d is not 3 or 4" % (lineno, ch))
-            chs.append(ch)
-            ts.append(float(t))
-    chs = np.asarray(chs, dtype=np.int64)
-    ts = np.asarray(ts, dtype=float)
+        got = fh.readline().strip()
+        if got != header:
+            raise ValueError("unexpected header %r, expected %r" % (got, header))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a header alone is an empty table
+            return np.loadtxt(fh, delimiter=",", comments=None, dtype=dtype, ndmin=1)
+
+
+def read_timetags(path):
+    rows = read_table(path, "channel,time_ns", [("channel", np.int64), ("time", np.float64)])
+    chs, ts = rows["channel"], rows["time"]
+    bad = chs[(chs != 3) & (chs != 4)]
+    if len(bad):
+        raise ValueError("channel %d is not 3 or 4" % bad[0])
     return {c: np.sort(ts[chs == c]) for c in (3, 4)}
 
 
 def write_histogram(path, hist: CorrelationHistogram):
-    centers = hist.bin_centers
-    norm = hist.normalized
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("tau_ns,counts,normalized\n")
-        for i in range(len(centers)):
-            nv = "" if norm is None else repr(float(norm[i]))
-            fh.write("%s,%d,%s\n" % (repr(float(centers[i])), int(hist.counts[i]), nv))
+        write_table(fh, "tau_ns,counts,normalized", (hist.bin_centers, hist.counts, hist.normalized))
 
 
 def read_histogram(path) -> CorrelationHistogram:
-    centers, counts, norm = [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "tau_ns,counts,normalized":
-            raise ValueError("unexpected histogram header %r" % header)
-        for line in fh:
-            c, n, v = line.strip().split(",")
-            centers.append(float(c))
-            counts.append(int(n))
-            norm.append(float(v) if v else np.nan)
-    centers = np.asarray(centers)
-    counts = np.asarray(counts, dtype=np.int64)
-    if len(centers) < 2:
+    # the normalized cells stay text: the column is blank when unnormalized
+    rows = read_table(path, "tau_ns,counts,normalized", [("tau", float), ("counts", np.int64), ("norm", object)])
+    if len(rows) < 2:
         raise ValueError("histogram needs at least two bins")
+    centers, counts, norm = rows["tau"], rows["counts"], rows["norm"]
     width = uniform_step(centers)
     edges = np.concatenate([centers - width / 2, [centers[-1] + width / 2]])
     hist = CorrelationHistogram(edges, counts)
-    norm = np.asarray(norm)
-    if not np.all(np.isnan(norm)):
-        hist.normalized = norm
-        nz = (counts > 0) & ~np.isnan(norm) & (norm != 0)
-        if not np.any(nz):
-            raise ValueError("normalized column has no bin with counts to fix its constant")
-        i = int(np.flatnonzero(nz)[0])
-        hist.normalization_constant = float(counts[i] / norm[i])
+    if np.all(norm == ""):
+        return hist
+    norm = np.where(norm == "", "nan", norm).astype(float)
+    if not np.all(np.isfinite(norm)):
+        raise ValueError("normalized column must be all blank or all finite")
+    nz = (counts > 0) & (norm != 0)
+    if not np.any(nz):
+        raise ValueError("normalized column has no bin with counts to fix its constant")
+    i = int(np.flatnonzero(nz)[0])
+    hist.normalized = norm
+    hist.normalization_constant = float(counts[i] / norm[i])
     return hist
 
 
 def write_difference(path, dc):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("tau_ns,value,sigma\n")
-        for i in range(len(dc.tau)):
-            fh.write(
-                "%s,%s,%s\n"
-                % (repr(float(dc.tau[i])), repr(float(dc.value[i])), repr(float(dc.sigma[i])))
-            )
+        write_table(fh, "tau_ns,value,sigma", (dc.tau, dc.value, dc.sigma))
 
 
-RESULT_KEYS = (
-    "gamma_pure_hat_per_ns", "w_p_hat_per_ns", "contrast_hat", "background_hat",
-    "t2_hat_ns", "v0_hat",
-    "stderr_gamma_pure", "stderr_w_p", "stderr_contrast", "stderr_background",
-    "rss", "converged",
+# the fit results in file order: (key, HomFitResult field)
+RESULT_FIELDS = (
+    ("gamma_pure_hat_per_ns", "gamma_pure_hat"), ("w_p_hat_per_ns", "w_p_hat"), ("contrast_hat", "contrast_hat"),
+    ("background_hat", "background_hat"), ("t2_hat_ns", "t2_hat"), ("v0_hat", "v0_hat"),
+    ("stderr_gamma_pure", "stderr_gamma_pure"), ("stderr_w_p", "stderr_w_p"), ("stderr_contrast", "stderr_contrast"),
+    ("stderr_background", "stderr_background"), ("rss", "rss"), ("converged", "converged"),
 )
+RESULT_KEYS = tuple(key for key, _ in RESULT_FIELDS)
 
 
 def write_results(path, fit):
-    vals = {
-        "gamma_pure_hat_per_ns": repr(fit.gamma_pure_hat),
-        "w_p_hat_per_ns": repr(fit.w_p_hat),
-        "contrast_hat": repr(fit.contrast_hat),
-        "background_hat": repr(fit.background_hat),
-        "t2_hat_ns": repr(fit.t2_hat),
-        "v0_hat": repr(fit.v0_hat),
-        "stderr_gamma_pure": repr(fit.stderr_gamma_pure),
-        "stderr_w_p": repr(fit.stderr_w_p),
-        "stderr_contrast": repr(fit.stderr_contrast),
-        "stderr_background": repr(fit.stderr_background),
-        "rss": repr(fit.rss),
-        "converged": "true" if fit.converged else "false",
-    }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for k in RESULT_KEYS:
-            fh.write("%s = %s\n" % (k, vals[k]))
+        for key, name in RESULT_FIELDS:
+            value = getattr(fit, name)
+            text = ("true" if value else "false") if name == "converged" else repr(value)
+            fh.write("%s = %s\n" % (key, text))

@@ -105,6 +105,15 @@ def empirical_g2(stream, bin_width: float, max_tau: float) -> CorrelationHistogr
     return hist
 
 
+def window_pairs(lo, hi):
+    """Flat index arrays (i, j) of every lo[i] <= j < hi[i], in (i, j)
+    order, for hi >= lo elementwise."""
+    n = hi - lo
+    i = np.repeat(np.arange(len(n)), n)
+    j = np.arange(len(i)) - np.repeat(np.cumsum(n) - n - lo, n)
+    return i, j
+
+
 def pairwise_delay_counts(ts_a, ts_b, edges, chunk=100_000):
     """Counts of t_b - t_a over all pairs, binned by edges.  Both arrays must
     be sorted ascending; work is chunked to bound memory."""
@@ -117,15 +126,8 @@ def pairwise_delay_counts(ts_a, ts_b, edges, chunk=100_000):
         a = ts_a[start : start + chunk]
         lo = np.searchsorted(ts_b, a + edges[0], side="left")
         hi = np.searchsorted(ts_b, a + edges[-1], side="left")
-        npairs = hi - lo
-        total = int(npairs.sum())
-        if total == 0:
-            continue
-        rep_a = np.repeat(a, npairs)
-        offs = np.concatenate(([0], np.cumsum(npairs)[:-1]))
-        j = np.arange(total) - np.repeat(offs, npairs) + np.repeat(lo, npairs)
-        d = ts_b[j] - rep_a
-        idx = np.floor((d - edges[0]) / width).astype(np.int64)
+        i, j = window_pairs(lo, hi)
+        idx = np.floor((ts_b[j] - a[i] - edges[0]) / width).astype(np.int64)
         np.clip(idx, 0, nbins - 1, out=idx)
         counts += np.bincount(idx, minlength=nbins)
     return counts

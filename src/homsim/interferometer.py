@@ -18,6 +18,7 @@ import numpy as np
 
 from .coherence import BeamSplitterConfig, EmitterParams
 from .emitter import PhotonStream
+from .histogram import window_pairs
 
 # pairs whose bunching probability falls below this are never candidates
 Q_MIN = 1e-12
@@ -167,13 +168,8 @@ def _candidate_pairs(routed: RoutedStream, p: EmitterParams, bs: BeamSplitterCon
         il = idx_long[start : start + chunk]
         lo = np.searchsorted(arr_short, arrival[il] - window, side="left")
         hi = np.searchsorted(arr_short, arrival[il] + window, side="right")
-        npairs = hi - lo
-        total = int(npairs.sum())
-        if total == 0:
-            continue
-        a = np.repeat(il, npairs)
-        offs = np.concatenate(([0], np.cumsum(npairs)[:-1]))
-        b = idx_short[np.arange(total) - np.repeat(offs, npairs) + np.repeat(lo, npairs)]
+        a, b = window_pairs(lo, hi)  # positions in il and idx_short
+        a, b = il[a], idx_short[b]
         q = bunching_probability(u[a], u[b], arrival[a], arrival[b], p.gamma_pure, bs)
         keep = q > Q_MIN
         out_a.append(a[keep])

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherence import BeamSplitterConfig, EmitterParams
-from .detection import DetectionConfig, apply_detector, tac_mca_histogram
+from .detection import DetectionConfig, apply_detector, norm_bins, tac_mca_histogram
 from .emitter import StreamConfig, simulate_emission_stream
+from .histogram import make_bin_edges
 from .interferometer import InterferometerConfig, interfere_stream
 
 
@@ -38,6 +39,8 @@ class RunConfig:
             raise ValueError("replicas must be >= 1")
         if not all(math.isfinite(v) for v in self.norm_region):
             raise ValueError("norm_region must be finite")
+        edges = make_bin_edges(*self.detection.mca_range, self.detection.bin_width)
+        norm_bins(0.5 * (edges[:-1] + edges[1:]), self.norm_region)  # fail before the Monte Carlo
 
 
 # defaults mirror the experimental configuration; correlation_mode is "full"

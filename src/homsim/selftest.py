@@ -131,11 +131,9 @@ def _interference_oracle(rep: _Report, quick, sign_flip):
         hist = detection.normalize(detection.tac_mca_histogram(channels, det), rc.norm_region)
         centers = hist.bin_centers
         sel = np.abs(centers) <= 0.5
-        sign = 1.0 if sign_flip else -1.0
-        base = 0.5 * (coherence.g2_source(centers[sel], p) + 1.0)
-        model = base + sign * bs.interference_weight * bs.mode_match * coherence.g1(centers[sel], p) ** 2
-        if pol == "orthogonal":
-            model = base
+        model = coherence.g2_34(centers[sel], p, bs, pol)
+        if sign_flip and pol == "parallel":  # the interference term with its sign flipped
+            model = 2 * coherence.g2_34(centers[sel], p, bs, "orthogonal") - model
         sigma = np.sqrt(np.maximum(hist.counts[sel], 1)) / hist.normalization_constant
         z = (hist.normalized[sel] - model) / sigma
         frac = float(np.mean(np.abs(z) < 3.0))

@@ -172,22 +172,29 @@ def test_exit_codes(tmp_path):
     # non-finite values and removed modes are bad input, not a run or a traceback
     greedy = tmp_path / "greedy.config.txt"
     greedy.write_text("pairing = greedy\nduration = 20000.0\n")
+    # a norm region that normalize would reject fails before the Monte Carlo
+    norm = tmp_path / "norm.config.txt"
+    norm.write_text("norm_lo = 30.0\nnorm_hi = 20.0\nduration = 20000.0\n")
     for flag, value in (("--gamma-pure", "nan"), ("--delta-t-ns", "nan"), ("--duration-ns", "inf"),
-                        ("--config", str(greedy))):
+                        ("--config", str(greedy)), ("--config", str(norm))):
         assert main(["simulate", flag, value, "--out", str(tmp_path / "bad")]) == 3
     assert not list(tmp_path.glob("bad*"))
-    for flag, value in (("--irf-fwhm-ns", "inf"), ("--irf-fwhm-ns", "nan"), ("--delta-t-ns", "nan"),
-                        ("--delta-t-ns", "inf"), ("--delta-t-ns", "-1")):
+    for flag, value in (("--irf-fwhm-ns", "inf"), ("--irf-fwhm-ns", "nan")):
         assert main(["analytic", flag, value, "--out", str(tmp_path / "bad.csv")]) == 3
+    # the curves are the long-delay limit, so analytic takes no delay
+    assert main(["analytic", "--delta-t-ns", "2", "--out", str(tmp_path / "bad.csv")]) == 2
     assert not list(tmp_path.glob("bad*"))
-    # a normalized column with no counts to recover its constant from, and a
-    # row missing outside the fit window, are bad input, not a traceback or a
-    # fit on the wrong axis
+    # a normalized column with no counts to recover its constant from, a
+    # row missing outside the fit window, and blank or nan cells among the
+    # normalized values are bad input, not a traceback, a fit on the wrong
+    # axis or a nan result
     tau = [0.21 * k for k in range(-10, 11)]
-    cases = {"zeros": (tau, 0), "gap": (tau[:18] + tau[19:], 100)}
-    for name, (centers, count) in cases.items():
+    norm = ["1.0"] * 21
+    cases = {"zeros": (tau, 0, norm), "gap": (tau[:18] + tau[19:], 100, norm),
+             "holes": (tau, 100, norm[:3] + ["", "nan"] + norm[5:])}
+    for name, (centers, count, cells) in cases.items():
         path = tmp_path / ("%s.hist.csv" % name)
-        path.write_text("tau_ns,counts,normalized\n" + "".join("%r,%d,1.0\n" % (c, count) for c in centers))
+        path.write_text("tau_ns,counts,normalized\n" + "".join("%r,%d,%s\n" % (c, count, v) for c, v in zip(centers, cells)))
         assert main(["analyze", "--par", str(path), "--orth", str(path), "--bin", "1", "--fit-window-ns", "1",
                      "--out", str(tmp_path / "bad")]) == 3
     assert not list(tmp_path.glob("bad*"))

@@ -144,13 +144,17 @@ def config_text(draw):
         "duration": _num(1e-3, 1e12),
         "seed": st.integers(0, 2**32).map(repr),
         "replicas": st.integers(1, 100).map(repr),
-        "norm_lo": _num(-1e3, 1e3),
-        "norm_hi": _num(-1e3, 1e3),
     }))
     # tau_max lies a whole number of bins above tau_min
     width, tau_min = draw(st.floats(1e-3, 10.0)), draw(st.floats(-100.0, 100.0))
     tau_max = tau_min + draw(st.integers(1, 1000)) * width
     out.update(tau_min=repr(tau_min), tau_max=repr(tau_max), bin_width=repr(width))
+    # 0 <= norm_lo < norm_hi around the |center| of one bin of that axis
+    edges = make_bin_edges(tau_min, tau_max, width)
+    center = abs(0.5 * (edges[:-1] + edges[1:])[draw(st.integers(0, len(edges) - 2))])
+    norm_lo = draw(st.floats(0.0, center))
+    norm_hi = draw(st.floats(center, center + 1e3).filter(lambda v: v > norm_lo))
+    out.update(norm_lo=repr(norm_lo), norm_hi=repr(norm_hi))
     return out
 
 
@@ -175,6 +179,8 @@ def test_config_roundtrip_generated(mapping, bad_key, bad):
     assert format_config(rc2) == text
     with pytest.raises(ValueError):
         build_run_config({**mapping, bad_key: bad})
+    with pytest.raises(ValueError):  # norm_lo >= norm_hi
+        build_run_config({**mapping, "norm_lo": mapping["norm_hi"], "norm_hi": mapping["norm_lo"]})
 
 
 def test_config_parse_rules():
@@ -187,8 +193,13 @@ def test_config_parse_rules():
     with pytest.raises(ValueError):
         build_run_config({"pump_rate": "2.0"})
     # tau_min and tau_max are applied together, so a shifted range is legal
-    rc = build_run_config({"tau_min": "30.0", "tau_max": "40.0", "bin_width": "0.5"})
+    shifted = {"tau_min": "30.0", "tau_max": "40.0", "bin_width": "0.5", "norm_lo": "32.0", "norm_hi": "38.0"}
+    rc = build_run_config(shifted)
     assert rc.detection.mca_range == (30.0, 40.0)
+    # a norm region that normalize would reject is rejected here, before a run
+    for lo, hi in (("30.0", "20.0"), ("-1.0", "20.0"), ("12.0", "12.0"), ("12.0", "24.0")):
+        with pytest.raises(ValueError):
+            build_run_config({**shifted, "norm_lo": lo, "norm_hi": hi})
 
 
 def test_config_file_roundtrip(tmp_path):
@@ -209,7 +220,9 @@ def test_timetags_roundtrip(tmp_path):
     np.testing.assert_array_equal(back[3], channels[3])
     np.testing.assert_array_equal(back[4], channels[4])
     bad = tmp_path / "bad.csv"
-    for text in ("time,chan\n", "channel,time_ns\n3,0.5\n5,1.0\n"):
+    bad_rows = ("time,chan\n", "channel,time_ns\n3,0.5\n5,1.0\n", "channel,time_ns\n3,0.5\n4\n",
+                "channel,time_ns\n3.0,0.5\n", "channel,time_ns\n3,abc\n")
+    for text in bad_rows:
         bad.write_text(text)
         with pytest.raises(ValueError):
             read_timetags(bad)
@@ -225,6 +238,19 @@ def test_histogram_roundtrip(tmp_path, rng):
     np.testing.assert_allclose(back.bin_centers, h.bin_centers, atol=1e-12)
     np.testing.assert_array_equal(back.normalized, h.normalized)  # repr is exact
     assert back.normalization_constant == pytest.approx(h.normalization_constant, rel=1e-9)
+
+
+def test_histogram_rejects_partly_normalized(tmp_path, rng):
+    raw = CorrelationHistogram(make_bin_edges(-2.1, 2.1, 0.21), rng.poisson(50.0, 20))
+    path = tmp_path / "hist.csv"
+    write_histogram(path, normalize(raw, (1.0, 2.0)))
+    rows = path.read_text().splitlines()
+    # a blank, nan or inf cell among numbers, or a column of nan
+    for cells in ([""], ["nan"], ["inf"], ["", "nan"], ["nan"] * 20):
+        text = [r.rsplit(",", 1)[0] + "," + c for r, c in zip(rows[1:], cells)] + rows[1 + len(cells):]
+        path.write_text("\n".join(rows[:1] + text) + "\n")
+        with pytest.raises(ValueError):
+            read_histogram(path)
 
 
 def test_histogram_roundtrip_unnormalized(tmp_path, rng):

@@ -144,6 +144,13 @@ def test_candidate_pairs_weights_and_window():
     a, b, q = _candidate_pairs(stale, p, bs, window=10.0)
     assert len(q) == 0
 
+    # every photon in one arm (arm_prob_long 0 or 1): typed empty arrays
+    for long_arm in (False, True):
+        one_arm = RoutedStream(np.arange(5.0), np.full(5, long_arm), np.full(5, 0.5))
+        a, b, q = _candidate_pairs(one_arm, p, bs, window=10.0)
+        assert (len(a), len(b), len(q)) == (0, 0, 0)
+        assert (a.dtype, b.dtype, q.dtype) == (np.int64, np.int64, np.float64)
+
 
 def test_match_pairs_unconditional_rates():
     # chains of three photons: pair A (q=0.5) shares its second photon with

@@ -1,6 +1,6 @@
 """The vectorised matcher, TAC, dead time and tag writer against the loops
-they replaced, and the fit's build-once forward model against the model it
-replaced.
+they replaced, the window-pair expansion against a double loop, and the
+fit's build-once forward model against the model it replaced.
 
 Each oracle below is the earlier implementation, kept verbatim in its
 logic.  The new code must give the same accepted mask, the same histogram
@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from homsim import analysis, fileio
 from homsim.coherence import FWHM_TO_SIGMA, EmitterParams, convolve_irf, g2_source
 from homsim.detection import DetectionConfig, _dead_time_filter, normalize, tac_mca_histogram
-from homsim.histogram import make_bin_edges
+from homsim.histogram import make_bin_edges, window_pairs
 from homsim.interferometer import Q_MIN, match_pairs
 from homsim.pipeline import default_run_config, run_replicas
 
@@ -174,6 +174,21 @@ def sorted_times(draw, max_size=40):
     offset = draw(st.sampled_from([0.0, -7.3, 1e6 + 0.1, 3e9]))
     ks = draw(st.lists(st.integers(-60, 60), max_size=max_size))
     return np.sort(offset + step * np.array(ks, dtype=float))
+
+
+# --- window pairs -----------------------------------------------------------
+
+
+@SETTINGS
+@given(ranges=st.lists(st.tuples(st.integers(0, 30), st.integers(0, 4)), max_size=12))
+def test_window_pairs_equals_double_loop(ranges):
+    # the oracle is the definition; empty ranges, zero-length input and
+    # overlapping ranges all occur
+    lo = np.array([r[0] for r in ranges], dtype=np.int64)
+    hi = lo + np.array([r[1] for r in ranges], dtype=np.int64)
+    i, j = window_pairs(lo, hi)
+    want = [(a, b) for a in range(len(lo)) for b in range(lo[a], hi[a])]
+    assert list(zip(i.tolist(), j.tolist())) == want
 
 
 # --- matcher ----------------------------------------------------------------
