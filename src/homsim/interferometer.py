@@ -63,9 +63,9 @@ class RoutedStream:
 
 def route(stream: PhotonStream, cfg: InterferometerConfig, rng) -> RoutedStream:
     """Send each photon through a random arm; long arm adds exactly delta_t."""
-    n = len(stream)
-    long_arm = rng.random(n) < cfg.arm_prob_long
-    arrival = stream.emission_times + cfg.delta_t * long_arm
+    long_arm = rng.random(len(stream)) < cfg.arm_prob_long
+    arrival = cfg.delta_t * long_arm  # then summed in place: one photon-sized temporary fewer
+    arrival += stream.emission_times
     order = np.argsort(arrival, kind="stable")
     return RoutedStream(arrival[order], long_arm[order], stream.envelope_delays[order])
 
@@ -198,14 +198,15 @@ def interfere_stream(stream: PhotonStream, cfg: InterferometerConfig, p: Emitter
     # masks stand in for a float and an int64 array of n
     r = rng.random(n)
     ch = np.where(np.where(routed.long_arm, r < s2, r < c2), np.int8(3), np.int8(4))
+    del r  # spent: the pairing and the port split reuse its space
 
     if cfg.pol_mode == "parallel" and cfg.pairing == "weighted" and cfg.bs.mode_match > 0 and n > 1:
         a_idx, b_idx, q = _candidate_pairs(routed, p, cfg.bs, cfg.resolved_window(p))
         a_o, b_o, acc = match_pairs(n, a_idx, b_idx, q, rng)
-        coin = rng.random(len(a_o)) < 0.5
-        det = np.where(coin, 3, 4).astype(np.int8)
+        det = np.where(rng.random(len(a_o)) < 0.5, 3, 4).astype(np.int8)
         ch[a_o[acc]] = det[acc]
         ch[b_o[acc]] = det[acc]
 
+    del routed  # spent too: the port split fits in freed space, not in a seed-dependent hole
     return {3: np.sort(u[ch == 3]), 4: np.sort(u[ch == 4])}
 
