@@ -77,8 +77,8 @@ def cmd_analytic(args):
     bs = BeamSplitterConfig(theta=args.theta, mode_match=args.mode_match)
     tau_max = args.tau_max_ns if args.tau_max_ns is not None else 0.5 / p.gamma_spon
     step = args.tau_step_ns if args.tau_step_ns is not None else tau_max / 40
-    if not tau_max > 0 or not step > 0:
-        raise ValueError("tau range and step must be positive")
+    if not 0 < tau_max < math.inf or not 0 < step < math.inf or not tau_max / step < math.inf:
+        raise ValueError("--tau-max-ns and --tau-step-ns must be positive and finite, and so must their ratio")
     n = max(int(round(tau_max / step)), 1)
     tau = (np.arange(2 * n + 1) - n) * (tau_max / n)
 

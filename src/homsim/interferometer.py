@@ -5,8 +5,9 @@ extra delay on the long arm, and leaves the output splitter through port 3
 or 4 independently.  In parallel polarization, opposite-arm photons whose
 envelopes overlap at both detection instants can instead bunch into a
 common port; bunching_probability states that law once, for whole arrays
-of pairs.  _candidate_pairs applies it to every pair within the pairing
-window, and match_pairs draws an exclusive matching that delivers it.
+of pairs.  _candidate_pairs applies it to the pairs within the pairing
+window whose wave packets overlap (the only ones it can score above zero),
+and match_pairs draws an exclusive matching that delivers it.
 """
 
 from __future__ import annotations
@@ -89,12 +90,13 @@ def bunching_probability(u_a, u_b, arr_a, arr_b, gamma_pure, bs: BeamSplitterCon
 def match_pairs(n_photons, a_idx, b_idx, q, rng):
     """Exclusive stochastic matching with per-pair target probabilities q.
 
-    Pairs are processed strongest first.  Because a photon consumed by an
-    earlier pair is lost to later ones, each pair fires with q divided by
-    both photons' survival (1 minus the q already spent on earlier pairs),
-    so its unconditional acceptance stays ~q.  Photons whose summed q
-    exceeds 1 cannot be fully served; the clamp makes those under-deliver
-    slightly rather than distort their neighbours.
+    Pairs are processed strongest first, pairs of equal q in the order
+    given.  Because a photon consumed by an earlier pair is lost to later
+    ones, each pair fires with q divided by both photons' survival (1 minus
+    the q already spent on earlier pairs), so its unconditional acceptance
+    stays ~q.  Photons whose summed q exceeds 1 cannot be fully served; the
+    clamp makes those under-deliver slightly rather than distort their
+    neighbours.
 
     A fired pair is accepted when neither photon was taken by an accepted
     pair earlier in that order (sequential greedy matching).  It is computed
@@ -104,27 +106,44 @@ def match_pairs(n_photons, a_idx, b_idx, q, rng):
     random-like orders (Blelloch, Fineman & Shun, "Greedy sequential maximal
     independent set and matching are parallel on average", SPAA 2012).
     """
-    order = np.argsort(-q, kind="stable")
-    a_o, b_o, q_o = a_idx[order], b_idx[order], q[order]
+    # strongest first, ties in candidate order: the unstable sort is much
+    # faster than a stable one, and only the runs of equal q need re-sorting
+    order = np.argsort(-q)
+    q_o = q[order]
+    tied = np.flatnonzero(q_o[1:] == q_o[:-1])
+    if len(tied):
+        pos = np.union1d(tied, tied + 1)
+        run = np.cumsum(np.r_[0, q_o[pos[1:]] != q_o[pos[:-1]]])
+        order[pos] = order[pos][np.lexsort((order[pos], run))]
+        q_o[pos] = q[order[pos]]
+    a_o, b_o = a_idx[order], b_idx[order]
     m = len(q_o)
     if m == 0:
         return a_o, b_o, np.zeros(0, dtype=bool)
 
     # survival prefix sums: for each pair, the q-mass its photons spent on
-    # earlier-processed pairs
-    flat_ph = np.concatenate([a_o, b_o])
-    flat_pos = np.concatenate([np.arange(m), np.arange(m)])
-    flat_q = np.concatenate([q_o, q_o])
-    so = np.lexsort((flat_pos, flat_ph))
-    ph_s, q_s = flat_ph[so], flat_q[so]
+    # earlier-processed pairs.  Entry k is photon a_o[k] of pair k and entry
+    # m + k photon b_o[k]; sorting the key photon * m + k groups the entries
+    # by photon in processing order.  Keys repeat only for a self-pair, whose
+    # two entries then share a photon, a position and q, so either order
+    # gives the same s_a * s_b.
+    k = np.arange(m)
+    key = np.concatenate([a_o, b_o], dtype=np.int64)
+    key *= m
+    key[:m] += k
+    key[m:] += k
+    so = np.argsort(key)
+    ph_s = key[so]
+    ph_s //= m
+    q_s = q_o[so % m]
+    del key, k
     cs = np.cumsum(q_s)
     grp = np.flatnonzero(np.r_[True, ph_s[1:] != ph_s[:-1]])
     base = np.repeat(cs[grp] - q_s[grp], np.diff(np.r_[grp, len(ph_s)]))
-    surv = 1.0 - (cs - q_s - base)
-    inv = np.empty(len(so), dtype=np.int64)
-    inv[so] = np.arange(len(so))
-    s_a = surv[inv[:m]]
-    s_b = surv[inv[m:]]
+    surv = np.empty(2 * m)
+    surv[so] = 1.0 - (cs - q_s - base)
+    s_a = surv[:m]
+    s_b = surv[m:]
 
     p_fire = np.clip(q_o / np.maximum(s_a * s_b, Q_MIN), 0.0, 1.0)
     fired = rng.random(m) < p_fire
@@ -153,22 +172,32 @@ def _candidate_pairs(routed: RoutedStream, p: EmitterParams, bs: BeamSplitterCon
     """All opposite-arm pairs within the arrival window whose bunching
     probability is non-negligible.  Returns (a_idx, b_idx, q).
 
-    Long-arm photons are taken `chunk` at a time, which only partitions the
-    work; each expands to about ten window pairs at the experiment point, so
-    the chunk sets the peak memory of a parallel run.
+    A pair can overlap only if each photon arrives before the other's
+    detection instant, so each long-arm photon's short-arm range also ends
+    at its own instant and starts where the running maximum of the short-arm
+    instants reaches its arrival.  Only pairs whose q is zero are skipped,
+    so the output is that of scoring every window pair.  Long-arm photons
+    are taken `chunk` at a time, which only partitions the work; about one
+    in ten window pairs overlaps at the experiment point, so a chunk's
+    expansion is small next to the stream and the matcher.
     """
     arrival = routed.arrival_times
     u = arrival + routed.envelope_delays
     idx_long = np.flatnonzero(routed.long_arm)
     idx_short = np.flatnonzero(~routed.long_arm)
     arr_short = arrival[idx_short]
+    reach_short = np.maximum.accumulate(u[idx_short])
 
     out_a, out_b, out_q = [], [], []
     for start in range(0, len(idx_long), chunk):
         il = idx_long[start : start + chunk]
-        lo = np.searchsorted(arr_short, arrival[il] - window, side="left")
-        hi = np.searchsorted(arr_short, arrival[il] + window, side="right")
-        a, b = window_pairs(lo, hi)  # positions in il and idx_short
+        arr_l = arrival[il]
+        lo = np.maximum(
+            np.searchsorted(arr_short, arr_l - window, side="left"),
+            np.searchsorted(reach_short, arr_l, side="left"),
+        )
+        hi = np.searchsorted(arr_short, np.minimum(arr_l + window, u[il]), side="right")
+        a, b = window_pairs(lo, np.maximum(hi, lo))  # positions in il and idx_short
         a, b = il[a], idx_short[b]
         q = bunching_probability(u[a], u[b], arrival[a], arrival[b], p.gamma_pure, bs)
         keep = q > Q_MIN

@@ -181,6 +181,9 @@ def test_exit_codes(tmp_path):
     assert not list(tmp_path.glob("bad*"))
     for flag, value in (("--irf-fwhm-ns", "inf"), ("--irf-fwhm-ns", "nan")):
         assert main(["analytic", flag, value, "--out", str(tmp_path / "bad.csv")]) == 3
+    # an infinite range, or a point count that overflows, is bad input too
+    for tau in (["--tau-max-ns", "inf"], ["--tau-max-ns", "1e300", "--tau-step-ns", "1e-300"]):
+        assert main(["analytic", *tau, "--out", str(tmp_path / "bad.csv")]) == 3
     # the curves are the long-delay limit, so analytic takes no delay
     assert main(["analytic", "--delta-t-ns", "2", "--out", str(tmp_path / "bad.csv")]) == 2
     assert not list(tmp_path.glob("bad*"))

@@ -1,5 +1,6 @@
 """The vectorised matcher, TAC, dead time and tag writer against the loops
-they replaced, the window-pair expansion against a double loop, and the
+they replaced, the window-pair expansion against a double loop, the
+overlap-bounded pair search against the full window expansion, and the
 fit's build-once forward model against the model it replaced.
 
 Each oracle below is the earlier implementation, kept verbatim in its
@@ -22,10 +23,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homsim import analysis, fileio
-from homsim.coherence import FWHM_TO_SIGMA, EmitterParams, convolve_irf, g2_source
+from homsim.coherence import FWHM_TO_SIGMA, BeamSplitterConfig, EmitterParams, convolve_irf, g2_source
 from homsim.detection import DetectionConfig, _dead_time_filter, normalize, tac_mca_histogram
+from homsim.emitter import StreamConfig, simulate_emission_stream
 from homsim.histogram import make_bin_edges, window_pairs
-from homsim.interferometer import Q_MIN, match_pairs
+from homsim.interferometer import Q_MIN, RoutedStream, _candidate_pairs, bunching_probability, match_pairs, route
 from homsim.pipeline import default_run_config, run_replicas
 
 SETTINGS = settings(max_examples=300, deadline=None)
@@ -64,6 +66,30 @@ def _match_pairs_loop(n_photons, a_idx, b_idx, q, rng):
         used[x] = used[y] = True
         accepted[k] = True
     return a_o, b_o, accepted
+
+
+def _candidate_pairs_window(routed, p, bs, window, chunk=50_000):
+    arrival = routed.arrival_times
+    u = arrival + routed.envelope_delays
+    idx_long = np.flatnonzero(routed.long_arm)
+    idx_short = np.flatnonzero(~routed.long_arm)
+    arr_short = arrival[idx_short]
+    out_a, out_b, out_q = [], [], []
+    for start in range(0, len(idx_long), chunk):
+        il = idx_long[start : start + chunk]
+        lo = np.searchsorted(arr_short, arrival[il] - window, side="left")
+        hi = np.searchsorted(arr_short, arrival[il] + window, side="right")
+        a, b = window_pairs(lo, hi)
+        a, b = il[a], idx_short[b]
+        q = bunching_probability(u[a], u[b], arrival[a], arrival[b], p.gamma_pure, bs)
+        keep = q > Q_MIN
+        out_a.append(a[keep])
+        out_b.append(b[keep])
+        out_q.append(q[keep])
+    if not out_a:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty.copy(), np.zeros(0)
+    return np.concatenate(out_a), np.concatenate(out_b), np.concatenate(out_q)
 
 
 def _tac_loop(t3, t4, cfg):
@@ -233,6 +259,83 @@ def test_match_pairs_random_graph():
     a_idx = rng.integers(0, n, 20000)
     b_idx = rng.integers(0, n, 20000)
     _assert_same_matching(n, a_idx, b_idx, rng.uniform(0.0, 1.0, 20000), 12)
+
+
+def test_match_pairs_edge_sizes():
+    empty = np.zeros(0, dtype=np.int64)
+    _assert_same_matching(3, empty, empty.copy(), np.zeros(0), 1)
+    _assert_same_matching(3, np.array([0]), np.array([2]), np.array([0.4]), 2)
+
+
+@pytest.mark.parametrize("values", [(0.5, 0.25), (1.0, 0.3, 1e-3)])
+def test_match_pairs_tied_q(values):
+    # large enough for numpy's SIMD sort, which leaves equal q in no fixed
+    # order: the matcher must restore candidate order within each tie
+    rng = np.random.default_rng(len(values))
+    n, m = 6000, 25000
+    a_idx = rng.integers(0, n, m)
+    b_idx = rng.integers(0, n, m)
+    q = rng.choice(np.array(values), m)
+    assert np.isin(a_idx, b_idx).any()  # photons on both sides
+    assert not np.array_equal(np.argsort(-q), np.argsort(-q, kind="stable"))
+    _assert_same_matching(n, a_idx, b_idx, q, 13)
+
+
+# --- candidate pairs --------------------------------------------------------
+
+
+def _assert_same_candidates(routed, p, bs, window, chunk=50_000):
+    got = _candidate_pairs(routed, p, bs, window, chunk=chunk)
+    want = _candidate_pairs_window(routed, p, bs, window, chunk=chunk)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        np.testing.assert_array_equal(g, w)
+    return len(want[2])
+
+
+@st.composite
+def routed_streams(draw):
+    """Sorted arrivals (ties, and lattices at large offsets), arms mixed or
+    all one side, and envelope delays that are zero, generic, on the
+    arrival lattice or longer than any window drawn."""
+    arrival = draw(sorted_times())
+    n = len(arrival)
+    arms = draw(st.sampled_from(["mixed", "long", "short"]))
+    if arms == "mixed":
+        long_arm = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    else:
+        long_arm = np.full(n, arms == "long")
+    delays = draw(st.sampled_from(["zero", "generic", "lattice", "long"]))
+    if delays == "zero":
+        env = np.zeros(n)
+    elif delays == "generic":
+        env = np.array(draw(st.lists(st.floats(0.0, 40.0), min_size=n, max_size=n)))
+    elif delays == "lattice":
+        env = 0.5 * np.array(draw(st.lists(st.integers(0, 80), min_size=n, max_size=n)), dtype=float)
+    else:
+        env = np.array(draw(st.lists(st.floats(40.0, 200.0), min_size=n, max_size=n)))
+    return RoutedStream(arrival, long_arm, env)
+
+
+@SETTINGS
+@given(
+    routed=routed_streams(),
+    gamma_pure=st.sampled_from([0.0, 0.2, 3.0]),
+    mode_match=st.sampled_from([0.7, 1.0]),
+    window=st.sampled_from([0.5, 1.0, 3.0, 34.0]),
+    chunk=st.sampled_from([1, 2, 7, 50_000]),
+)
+def test_candidate_pairs_equals_window_expansion(routed, gamma_pure, mode_match, window, chunk):
+    p = EmitterParams(gamma_spon=1 / 3.4, gamma_pure=gamma_pure)
+    _assert_same_candidates(routed, p, BeamSplitterConfig(mode_match=mode_match), window, chunk)
+
+
+def test_candidate_pairs_equals_window_expansion_on_a_run():
+    rc = default_run_config()
+    stream = simulate_emission_stream(StreamConfig(rc.emitter, 2e5, 4))
+    routed = route(stream, rc.interferometer, np.random.default_rng(4))
+    window = rc.interferometer.resolved_window(rc.emitter)
+    assert _assert_same_candidates(routed, rc.emitter, rc.interferometer.bs, window) > 10_000
 
 
 # --- TAC --------------------------------------------------------------------
