@@ -16,6 +16,9 @@ import numpy as np
 from . import analysis, coherence, detection, fileio, pipeline, selftest
 from .coherence import BeamSplitterConfig, EmitterParams
 
+# largest --tau-max-ns / --tau-step-ns: 2,000,001 samples per analytic curve
+MAX_TAU_STEPS = 1_000_000
+
 
 def _add_emitter_flags(sub, gamma_spon, gamma_pure, wp):
     sub.add_argument("--gamma-spon", type=float, default=gamma_spon, help="spontaneous decay rate (1/ns)")
@@ -80,6 +83,9 @@ def cmd_analytic(args):
     if not 0 < tau_max < math.inf or not 0 < step < math.inf or not tau_max / step < math.inf:
         raise ValueError("--tau-max-ns and --tau-step-ns must be positive and finite, and so must their ratio")
     n = max(int(round(tau_max / step)), 1)
+    # checked before any curve is built: a huge ratio would not fail fast
+    if n > MAX_TAU_STEPS:
+        raise ValueError("--tau-max-ns / --tau-step-ns is %.3g; it may be at most %d" % (tau_max / step, MAX_TAU_STEPS))
     tau = (np.arange(2 * n + 1) - n) * (tau_max / n)
 
     curves = {

@@ -114,7 +114,7 @@ def _dead_time_filter(times, dead):
         hit = jump[reached]
         hit = hit[hit < n]
         if not len(hit):
-            return t[keep[:n]]
+            return np.compress(keep[:n], t)  # as t[keep[:n]], faster on a random mask
         keep[hit] = True
         reached = np.concatenate([reached, hit])
         jump = jump[jump]
@@ -131,9 +131,14 @@ def apply_detector(channels, cfg: DetectionConfig, rng, duration):
     for k, ch in enumerate(CHANNELS):
         t = np.asarray(channels[ch], dtype=float)
         if cfg.efficiency[k] < 1.0:
-            t = t[rng.random(len(t)) < cfg.efficiency[k]]
+            t = np.compress(rng.random(len(t)) < cfg.efficiency[k], t)
         if sigma > 0 and len(t):
-            t = np.sort(t + rng.normal(0.0, sigma, len(t)))
+            # the jitter (sigma ~0.1 ns) is small next to the click spacing,
+            # so the jittered clicks are long sorted runs for timsort
+            jittered = rng.normal(0.0, sigma, len(t))
+            jittered += t
+            jittered.sort(kind="stable")
+            t = jittered
         t = _dead_time_filter(t, cfg.dead_time[k])
         out[ch] = t
 
@@ -144,8 +149,9 @@ def apply_detector(channels, cfg: DetectionConfig, rng, duration):
         if n_bg:
             t_bg = rng.uniform(0.0, duration, n_bg)
             pick3 = rng.random(n_bg) < 0.5
-            out[3] = np.sort(np.concatenate([out[3], t_bg[pick3]]))
-            out[4] = np.sort(np.concatenate([out[4], t_bg[~pick3]]))
+            # each channel is then two sorted runs, which timsort merges
+            for ch, pick in ((3, pick3), (4, ~pick3)):
+                out[ch] = np.sort(np.concatenate([out[ch], np.sort(t_bg[pick])]), kind="stable")
     return out
 
 

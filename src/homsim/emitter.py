@@ -71,27 +71,37 @@ def simulate_emission_stream(cfg: StreamConfig) -> PhotonStream:
     prev_eps = 0.0
     n_block = max(int(cfg.duration / mean_wait * 1.1) + 64, 64)
     while True:
-        waits = rng.exponential(1.0 / p.w_p, n_block)
+        # exponential(scale) is scale * standard_exponential, so drawing into
+        # the block's two arrays and scaling them in place gives the same
+        # bits with no temporary; the vibronic waits borrow the eps array
+        t = rng.standard_exponential(n_block)
+        t *= 1.0 / p.w_p
+        eps = rng.standard_exponential(n_block)
         if has_vib:
-            waits += rng.exponential(1.0 / p.gamma_vib, n_block)
-        eps = rng.exponential(1.0 / p.gamma_spon, n_block)
+            eps *= 1.0 / p.gamma_vib
+            t += eps
+            rng.standard_exponential(out=eps)
+        eps *= 1.0 / p.gamma_spon
         # the decay that ends cycle n delays the start of cycle n+1
-        waits[0] += prev_eps
-        waits[1:] += eps[:-1]
-        t0 = np.cumsum(waits, out=waits)
-        t0 += t_last
-        times_parts.append(t0)
+        t[0] += prev_eps
+        t[1:] += eps[:-1]
+        np.cumsum(t, out=t)
+        t += t_last
+        times_parts.append(t)
         eps_parts.append(eps)
-        t_last = t0[-1]
+        t_last = t[-1]
         prev_eps = eps[-1]
         if t_last >= cfg.duration:
             break
         n_block = max(int((cfg.duration - t_last) / mean_wait * 1.2) + 64, 64)
 
-    # the times increase, so only the last block runs past the end.  One
-    # copy keeps its photons before the end: a view would hold the block's
-    # surplus draws, about a tenth of the stream, for the whole run
-    n = np.searchsorted(t0, cfg.duration)
-    times_parts[-1], eps_parts[-1] = t0[:n], eps[:n]
-    return PhotonStream(np.concatenate(times_parts), np.concatenate(eps_parts), cfg.duration)
-
+    # the times increase, so only the last block runs past the end.  It is
+    # shrunk in place to its photons before the end (no view of it is
+    # alive): its surplus draws, about a tenth of the stream, are freed
+    # without a copy.  Only a run that needed more blocks joins them
+    n = int(np.searchsorted(t, cfg.duration))
+    t.resize(n, refcheck=False)
+    eps.resize(n, refcheck=False)
+    if len(times_parts) > 1:
+        t, eps = np.concatenate(times_parts), np.concatenate(eps_parts)
+    return PhotonStream(t, eps, cfg.duration)

@@ -68,7 +68,8 @@ def route(stream: PhotonStream, cfg: InterferometerConfig, rng) -> RoutedStream:
     arrival = cfg.delta_t * long_arm  # then summed in place: one photon-sized temporary fewer
     arrival += stream.emission_times
     order = np.argsort(arrival, kind="stable")
-    return RoutedStream(arrival[order], long_arm[order], stream.envelope_delays[order])
+    arrival = arrival[order]  # the unsorted arrivals are freed before the delays are gathered
+    return RoutedStream(arrival, long_arm[order], stream.envelope_delays[order])
 
 
 def bunching_probability(u_a, u_b, arr_a, arr_b, gamma_pure, bs: BeamSplitterConfig):
@@ -219,23 +220,27 @@ def interfere_stream(stream: PhotonStream, cfg: InterferometerConfig, p: Emitter
     """
     routed = route(stream, cfg, rng)
     n = len(routed)
-    u = routed.arrival_times + routed.envelope_delays
 
     c2 = math.cos(cfg.bs.theta) ** 2
     s2 = math.sin(cfg.bs.theta) ** 2
-    # port 3 with probability sin^2 (long arm) or cos^2 (short arm); two bool
-    # masks stand in for a float and an int64 array of n
+    # port 3 with probability sin^2 (long arm) or cos^2 (short arm): one bool
+    # mask, drawn before any other photon-sized array is formed
     r = rng.random(n)
-    ch = np.where(np.where(routed.long_arm, r < s2, r < c2), np.int8(3), np.int8(4))
+    port3 = np.where(routed.long_arm, r < s2, r < c2)
     del r  # spent: the pairing and the port split reuse its space
 
     if cfg.pol_mode == "parallel" and cfg.pairing == "weighted" and cfg.bs.mode_match > 0 and n > 1:
         a_idx, b_idx, q = _candidate_pairs(routed, p, cfg.bs, cfg.resolved_window(p))
         a_o, b_o, acc = match_pairs(n, a_idx, b_idx, q, rng)
-        det = np.where(rng.random(len(a_o)) < 0.5, 3, 4).astype(np.int8)
-        ch[a_o[acc]] = det[acc]
-        ch[b_o[acc]] = det[acc]
+        det = rng.random(len(a_o)) < 0.5  # the common port: 3 if True
+        port3[a_o[acc]] = det[acc]
+        port3[b_o[acc]] = det[acc]
 
+    # the arrivals are spent: the detection instants take their place
+    u = routed.arrival_times
+    u += routed.envelope_delays
     del routed  # spent too: the port split fits in freed space, not in a seed-dependent hole
-    return {3: np.sort(u[ch == 3]), 4: np.sort(u[ch == 4])}
-
+    # np.compress selects a random half several times faster than u[port3].
+    # u is nearly sorted (delays of a few ns on arrivals ns apart), and the
+    # stable sort (timsort) merges its runs
+    return {ch: np.sort(np.compress(sel, u), kind="stable") for ch, sel in ((3, port3), (4, ~port3))}

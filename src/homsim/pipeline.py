@@ -82,8 +82,8 @@ def run_replicas(rc: RunConfig):
         _, channels = run_replica(rc, k)
         h = tac_mca_histogram(channels, rc.detection)
         hist = h if hist is None else hist.merge(h)
-        off = k * rc.duration
+        # replica 0's clicks are handed through, not copied
         for ch in (3, 4):
-            tags[ch].append(channels[ch] + off)
-    merged = {ch: np.concatenate(tags[ch]) for ch in (3, 4)}
+            tags[ch].append(channels[ch] + k * rc.duration if k else channels[ch])
+    merged = {ch: np.concatenate(parts) if len(parts) > 1 else parts[0] for ch, parts in tags.items()}
     return merged, hist

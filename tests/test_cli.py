@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import homsim
-from homsim.cli import main
+from homsim.cli import MAX_TAU_STEPS, main
 from homsim.fileio import read_config, read_histogram
 
 G2_PAR_A_AT_02 = 0.628408866133492004
@@ -163,7 +163,7 @@ def test_analyze_without_irf(tmp_path, capsys):
     assert (tmp_path / "an.results.txt").exists()
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     assert main(["no-such-command"]) == 2
     assert main(["analyze", "--par", str(tmp_path / "missing.csv"),
                  "--orth", str(tmp_path / "missing.csv")]) == 3
@@ -181,9 +181,16 @@ def test_exit_codes(tmp_path):
     assert not list(tmp_path.glob("bad*"))
     for flag, value in (("--irf-fwhm-ns", "inf"), ("--irf-fwhm-ns", "nan")):
         assert main(["analytic", flag, value, "--out", str(tmp_path / "bad.csv")]) == 3
-    # an infinite range, or a point count that overflows, is bad input too
-    for tau in (["--tau-max-ns", "inf"], ["--tau-max-ns", "1e300", "--tau-step-ns", "1e-300"]):
+    # an infinite range, a point count that overflows or one past the bound
+    # (checked before any curve is built) is bad input too
+    too_many = ["--tau-max-ns", "1", "--tau-step-ns", repr(1 / (MAX_TAU_STEPS + 1))]
+    for tau in (["--tau-max-ns", "inf"], ["--tau-max-ns", "1e300", "--tau-step-ns", "1e-300"],
+                ["--tau-max-ns", "1e6", "--tau-step-ns", "1e-6"], too_many):
         assert main(["analytic", *tau, "--out", str(tmp_path / "bad.csv")]) == 3
+    capsys.readouterr()
+    assert main(["analytic", *too_many]) == 3
+    err = capsys.readouterr().err
+    assert "--tau-max-ns" in err and "--tau-step-ns" in err
     # the curves are the long-delay limit, so analytic takes no delay
     assert main(["analytic", "--delta-t-ns", "2", "--out", str(tmp_path / "bad.csv")]) == 2
     assert not list(tmp_path.glob("bad*"))

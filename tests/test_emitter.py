@@ -1,5 +1,9 @@
 """Renewal photon-stream sampler: determinism, moments, correlations."""
 
+import dataclasses
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -33,6 +37,24 @@ def test_ordering_and_bounds(strong_dephasing):
     assert st.emission_times[-1] < st.duration
     assert np.all(st.envelope_delays > 0)
     assert len(st.envelope_delays) == len(st)
+
+
+@pytest.mark.parametrize("gamma_vib", [math.inf, 5.0])
+def test_emission_peak_memory(molecule, gamma_vib):
+    # each block is drawn into the two arrays that become the stream (about
+    # 1.1 photon-sized arrays each) and shrunk in place: no temporary, copy
+    # or concatenation adds a third.  Copying the block out held about 4.2
+    # photon-sized arrays.
+    p = dataclasses.replace(molecule, gamma_vib=gamma_vib)
+    simulate_emission_stream(StreamConfig(p, 1e3, rng_seed=1))  # numpy's first-call allocations
+    tracemalloc.start()
+    try:
+        st = simulate_emission_stream(StreamConfig(p, 1e6, rng_seed=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(st) > 200_000
+    assert peak <= 2.3 * st.emission_times.nbytes
 
 
 def test_mean_cycle_time(strong_dephasing):

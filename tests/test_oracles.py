@@ -1,7 +1,9 @@
 """The vectorised matcher, TAC, dead time and tag writer against the loops
 they replaced, the window-pair expansion against a double loop, the
-overlap-bounded pair search against the full window expansion, and the
-fit's build-once forward model against the model it replaced.
+overlap-bounded pair search against the full window expansion, the stream
+stages (emission, port split, detector chain) against the copying and
+re-sorting versions they replaced, and the fit's build-once forward model
+against the model it replaced.
 
 Each oracle below is the earlier implementation, kept verbatim in its
 logic.  The new code must give the same accepted mask, the same histogram
@@ -22,13 +24,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homsim import analysis, fileio
+from homsim import analysis, emitter, fileio
 from homsim.coherence import FWHM_TO_SIGMA, BeamSplitterConfig, EmitterParams, convolve_irf, g2_source
-from homsim.detection import DetectionConfig, _dead_time_filter, normalize, tac_mca_histogram
-from homsim.emitter import StreamConfig, simulate_emission_stream
+from homsim.detection import CHANNELS, DetectionConfig, _dead_time_filter, apply_detector, normalize, tac_mca_histogram
+from homsim.emitter import PhotonStream, StreamConfig, simulate_emission_stream
 from homsim.histogram import make_bin_edges, window_pairs
-from homsim.interferometer import Q_MIN, RoutedStream, _candidate_pairs, bunching_probability, match_pairs, route
-from homsim.pipeline import default_run_config, run_replicas
+from homsim.interferometer import (
+    Q_MIN,
+    InterferometerConfig,
+    RoutedStream,
+    _candidate_pairs,
+    bunching_probability,
+    interfere_stream,
+    match_pairs,
+    route,
+)
+from homsim.pipeline import _stage_rng, default_run_config, run_replicas
 
 SETTINGS = settings(max_examples=300, deadline=None)
 
@@ -184,6 +195,81 @@ def _hom_model_curves_per_call(centers, bin_width, gamma_spon, gamma_pure, w_p, 
     orth = (1.0 - background) * orth + background
     n = len(centers)
     return par.reshape(n, n_sub).mean(axis=1), orth.reshape(n, n_sub).mean(axis=1)
+
+
+def _emission_concat(cfg):
+    # draws through rng.exponential, and joins the blocks with np.concatenate
+    # even when there is one; mean_cycle_time is looked up on the module so
+    # a test can patch it for both versions
+    p = cfg.emitter
+    rng = np.random.default_rng(cfg.rng_seed)
+    has_vib = not math.isinf(p.gamma_vib)
+    mean_wait = emitter.mean_cycle_time(p)
+    times_parts, eps_parts = [], []
+    t_last = 0.0
+    prev_eps = 0.0
+    n_block = max(int(cfg.duration / mean_wait * 1.1) + 64, 64)
+    while True:
+        waits = rng.exponential(1.0 / p.w_p, n_block)
+        if has_vib:
+            waits += rng.exponential(1.0 / p.gamma_vib, n_block)
+        eps = rng.exponential(1.0 / p.gamma_spon, n_block)
+        waits[0] += prev_eps
+        waits[1:] += eps[:-1]
+        t0 = np.cumsum(waits, out=waits)
+        t0 += t_last
+        times_parts.append(t0)
+        eps_parts.append(eps)
+        t_last = t0[-1]
+        prev_eps = eps[-1]
+        if t_last >= cfg.duration:
+            break
+        n_block = max(int((cfg.duration - t_last) / mean_wait * 1.2) + 64, 64)
+    n = np.searchsorted(t0, cfg.duration)
+    times_parts[-1], eps_parts[-1] = t0[:n], eps[:n]
+    return PhotonStream(np.concatenate(times_parts), np.concatenate(eps_parts), cfg.duration)
+
+
+def _interfere_stream_int8(stream, cfg, p, rng):
+    # an int8 port per photon through a nested np.where, default-kind sorts
+    routed = route(stream, cfg, rng)
+    n = len(routed)
+    u = routed.arrival_times + routed.envelope_delays
+    c2 = math.cos(cfg.bs.theta) ** 2
+    s2 = math.sin(cfg.bs.theta) ** 2
+    r = rng.random(n)
+    ch = np.where(np.where(routed.long_arm, r < s2, r < c2), np.int8(3), np.int8(4))
+    if cfg.pol_mode == "parallel" and cfg.pairing == "weighted" and cfg.bs.mode_match > 0 and n > 1:
+        a_idx, b_idx, q = _candidate_pairs(routed, p, cfg.bs, cfg.resolved_window(p))
+        a_o, b_o, acc = match_pairs(n, a_idx, b_idx, q, rng)
+        det = np.where(rng.random(len(a_o)) < 0.5, 3, 4).astype(np.int8)
+        ch[a_o[acc]] = det[acc]
+        ch[b_o[acc]] = det[acc]
+    return {3: np.sort(u[ch == 3]), 4: np.sort(u[ch == 4])}
+
+
+def _apply_detector_resort(channels, cfg, rng, duration):
+    # default-kind sorts; the background is concatenated unsorted, then the
+    # whole channel is sorted
+    sigma = cfg.jitter_sigma
+    out = {}
+    for k, ch in enumerate(CHANNELS):
+        t = np.asarray(channels[ch], dtype=float)
+        if cfg.efficiency[k] < 1.0:
+            t = t[rng.random(len(t)) < cfg.efficiency[k]]
+        if sigma > 0 and len(t):
+            t = np.sort(t + rng.normal(0.0, sigma, len(t)))
+        out[ch] = _dead_time_filter(t, cfg.dead_time[k])
+    f = cfg.background_fraction
+    if f > 0:
+        total = sum(len(out[ch]) for ch in CHANNELS)
+        n_bg = rng.poisson(total * f / (1.0 - f))
+        if n_bg:
+            t_bg = rng.uniform(0.0, duration, n_bg)
+            pick3 = rng.random(n_bg) < 0.5
+            out[3] = np.sort(np.concatenate([out[3], t_bg[pick3]]))
+            out[4] = np.sort(np.concatenate([out[4], t_bg[~pick3]]))
+    return out
 
 
 # --- strategies -------------------------------------------------------------
@@ -448,6 +534,126 @@ def test_write_timetags_equals_row_writer_on_a_run(tmp_path):
     _write_timetags_rows(want, channels)
     assert want.read_text().count("\n") == 2 * fileio.TAG_BLOCK + 2
     assert got.read_bytes() == want.read_bytes()
+
+
+# --- stream stages ----------------------------------------------------------
+
+
+def _assert_same_bits(got, want):
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def _assert_same_channels(got, want):
+    assert sorted(got) == sorted(want) == [3, 4]
+    for ch in (3, 4):
+        _assert_same_bits(got[ch], want[ch])
+
+
+EMITTERS = st.builds(
+    EmitterParams,
+    gamma_spon=st.sampled_from([1 / 3.4, 1.0]),
+    gamma_pure=st.sampled_from([0.2, 3.0]),
+    w_p=st.sampled_from([6.5, 2.5, 0.3]),
+    gamma_vib=st.sampled_from([math.inf, 5.0, 0.7]),
+)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@SETTINGS
+@given(p=EMITTERS, duration=st.sampled_from([0.01, 1.0, 30.0, 3000.0]), seed=SEEDS,
+       cycle_scale=st.sampled_from([1.0, 1.5, 3.0, 40.0]))
+def test_emission_equals_drawn_and_concatenated(p, duration, seed, cycle_scale):
+    # cycle_scale > 1 overstates the mean cycle time, so the first block
+    # falls short and the continuation blocks run
+    mean = emitter.mean_cycle_time
+    with mock.patch.object(emitter, "mean_cycle_time", lambda q: mean(q) * cycle_scale):
+        cfg = StreamConfig(p, duration, seed)
+        got, want = simulate_emission_stream(cfg), _emission_concat(cfg)
+    _assert_same_bits(got.emission_times, want.emission_times)
+    _assert_same_bits(got.envelope_delays, want.envelope_delays)
+
+
+@SETTINGS
+@given(
+    p=EMITTERS,
+    duration=st.sampled_from([1.0, 30.0, 3000.0]),
+    seed=SEEDS,
+    delta_t=st.sampled_from([0.0, 4.6, 30.0]),
+    theta=st.sampled_from([math.pi / 4, 0.3, 0.0, math.pi / 2]),
+    mode_match=st.sampled_from([0.0, 0.7, 1.0]),
+    pol_mode=st.sampled_from(["parallel", "orthogonal"]),
+    arm_prob_long=st.sampled_from([0.5, 0.0, 1.0, 0.3]),
+    pairing=st.sampled_from(["weighted", "none"]),
+    pairing_window=st.sampled_from([None, 1.0]),
+)
+def test_interfere_stream_equals_int8_port_split(p, duration, seed, delta_t, theta, mode_match, pol_mode,
+                                                 arm_prob_long, pairing, pairing_window):
+    cfg = InterferometerConfig(delta_t=delta_t, bs=BeamSplitterConfig(theta=theta, mode_match=mode_match),
+                               pol_mode=pol_mode, arm_prob_long=arm_prob_long, pairing=pairing,
+                               pairing_window=pairing_window)
+    stream = simulate_emission_stream(StreamConfig(p, duration, seed))
+    before = stream.emission_times.copy(), stream.envelope_delays.copy()
+    got = interfere_stream(stream, cfg, p, np.random.default_rng(seed))
+    # the input stream is read, never written
+    _assert_same_bits(stream.emission_times, before[0])
+    _assert_same_bits(stream.envelope_delays, before[1])
+    _assert_same_channels(got, _interfere_stream_int8(stream, cfg, p, np.random.default_rng(seed)))
+
+
+@st.composite
+def click_times(draw):
+    """Sorted non-negative click times, generic or on a lattice (ties).  The
+    pipeline makes no negative zero, so none is drawn: a stable and an
+    unstable sort may order -0.0 and 0.0 differently."""
+    if draw(st.booleans()):
+        vals = np.array(draw(st.lists(st.floats(0.0, 1e4), max_size=60)), dtype=float)
+    else:
+        step = draw(st.sampled_from([0.21, 1.0, 3.0, 25.0]))
+        offset = draw(st.sampled_from([0.0, 1e6 + 0.1]))
+        vals = offset + step * np.array(draw(st.lists(st.integers(0, 400), max_size=60)), dtype=float)
+    return np.sort(vals + 0.0)
+
+
+@SETTINGS
+@given(
+    t3=click_times(),
+    t4=click_times(),
+    seed=SEEDS,
+    irf=st.sampled_from([0.0, 0.42, 5.0]),
+    efficiency=st.tuples(*[st.sampled_from([1.0, 0.3, 0.0])] * 2),
+    dead_time=st.tuples(*[st.sampled_from([0.0, 1.0, 22.0])] * 2),
+    background=st.sampled_from([0.0, 0.05, 0.5, 0.9]),
+    duration=st.sampled_from([1e3, 1e4]),
+)
+def test_apply_detector_equals_resorting_chain(t3, t4, seed, irf, efficiency, dead_time, background, duration):
+    cfg = DetectionConfig(irf_fwhm_pair=irf, efficiency=efficiency, dead_time=dead_time,
+                          background_fraction=background)
+    channels = {3: t3, 4: t4}
+    got = apply_detector(channels, cfg, np.random.default_rng(seed), duration)
+    _assert_same_bits(channels[3], t3)
+    _assert_same_channels(got, _apply_detector_resort(channels, cfg, np.random.default_rng(seed), duration))
+
+
+@pytest.mark.parametrize("pol_mode,correlation", [("parallel", "full"), ("orthogonal", "tac")])
+def test_stream_stages_equal_old_chain_on_a_run(pol_mode, correlation):
+    # the paper's point with pairing, and the benchmark's TAC detector chain
+    rc = default_run_config()
+    det = rc.detection
+    if correlation == "tac":
+        det = dataclasses.replace(det, correlation_mode="tac", efficiency=(0.3, 0.3), dead_time=(22.0, 22.0))
+    rc = dataclasses.replace(rc, interferometer=dataclasses.replace(rc.interferometer, pol_mode=pol_mode),
+                             detection=det, duration=3e5, seed=8)
+    cfg = StreamConfig(rc.emitter, rc.duration, rc.seed)
+    stream, old = simulate_emission_stream(cfg), _emission_concat(cfg)
+    _assert_same_bits(stream.emission_times, old.emission_times)
+    got = interfere_stream(stream, rc.interferometer, rc.emitter, _stage_rng(rc.seed, 1))
+    want = _interfere_stream_int8(stream, rc.interferometer, rc.emitter, _stage_rng(rc.seed, 1))
+    _assert_same_channels(got, want)
+    assert min(len(got[3]), len(got[4])) > 30_000
+    got = apply_detector(got, rc.detection, _stage_rng(rc.seed, 2), rc.duration)
+    want = _apply_detector_resort(want, rc.detection, _stage_rng(rc.seed, 2), rc.duration)
+    _assert_same_channels(got, want)
 
 
 # --- fit forward model ------------------------------------------------------
