@@ -18,7 +18,7 @@ from .coherence import (
     visibility,
 )
 from .detection import DetectionConfig, apply_detector, normalize, tac_mca_histogram
-from .emitter import PhotonStream, StreamConfig, simulate_emission_stream
+from .emitter import PhotonStream, simulate_emission_stream
 from .histogram import CorrelationHistogram, empirical_g2, make_bin_edges
 from .interferometer import InterferometerConfig, bunching_probability, interfere_stream, route
 from .pipeline import RunConfig, default_run_config, run_replica, run_replicas
@@ -36,7 +36,6 @@ __all__ = [
     "InterferometerConfig",
     "PhotonStream",
     "RunConfig",
-    "StreamConfig",
     "apply_detector",
     "bunching_probability",
     "convolve_irf",

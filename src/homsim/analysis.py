@@ -53,8 +53,8 @@ class HomFitResult:
 
 def rebin(hist: CorrelationHistogram, factor: int) -> CorrelationHistogram:
     """Merge groups of `factor` adjacent bins.  A trailing partial group is
-    dropped (with a warning and truncated flag).  Normalization, when
-    present, is recomputed on the coarse bins."""
+    dropped with a warning.  Normalization, when present, is recomputed on
+    the coarse bins."""
     if factor < 1 or factor != int(factor):
         raise ValueError("factor must be a positive integer")
     factor = int(factor)
@@ -64,15 +64,13 @@ def rebin(hist: CorrelationHistogram, factor: int) -> CorrelationHistogram:
     n_groups = nbins // factor
     if n_groups == 0:
         raise ValueError("factor exceeds the number of bins")
-    truncated = n_groups * factor != nbins
-    if truncated:
+    if n_groups * factor != nbins:
         warnings.warn("rebin dropped %d trailing bins" % (nbins - n_groups * factor))
     edges = hist.bin_edges[: n_groups * factor + 1 : factor]
     counts = hist.counts[: n_groups * factor].reshape(n_groups, factor).sum(axis=1)
-    out = CorrelationHistogram(edges, counts, truncated=truncated)
+    out = CorrelationHistogram(edges, counts)
     if hist.norm_region is not None:
         out = normalize(out, hist.norm_region)
-        out.truncated = truncated
     elif hist.normalization_constant is not None:
         # rate-style normalization scales with the bin width
         out.normalization_constant = hist.normalization_constant * factor

@@ -138,11 +138,7 @@ def cmd_analyze(args):
     h_par = fileio.read_histogram(args.par)
     h_orth = fileio.read_histogram(args.orth)
 
-    det = detection.DetectionConfig(
-        irf_fwhm_pair=args.irf_fwhm_ns,
-        mca_range=(float(h_par.bin_edges[0]), float(h_par.bin_edges[-1])),
-        bin_width=h_par.bin_width,
-    )
+    det = detection.DetectionConfig(irf_fwhm_pair=args.irf_fwhm_ns)
     # at least one bin wide: zero delay sits on a bin edge, so a narrower
     # window (--irf-fwhm-ns 0) would select no bins
     v0_raw = analysis.v0_from_histograms(h_par, h_orth, window=max(args.irf_fwhm_ns, h_par.bin_width))

@@ -21,6 +21,10 @@ FWHM_TO_SIGMA = 2.3548200450309493
 # gamma_vib value meaning the vibronic relaxation is treated as instantaneous
 INSTANTANEOUS = math.inf
 
+# largest IRF FWHM / sampling step: the kernel spans +-5 sigma, about 4.25
+# samples per unit of the ratio, and np.convolve costs samples x kernel
+MAX_IRF_STEPS = 500
+
 
 @dataclass(frozen=True)
 class EmitterParams:
@@ -151,9 +155,10 @@ def convolve_irf(tau, values, fwhm):
     """Convolve a uniformly sampled curve with a unit-area Gaussian IRF.
 
     values is one curve, or a 2-d array with one curve per row.  fwhm = 0
-    returns the curve unchanged.  Otherwise the sampling step must be
-    <= fwhm/4; the kernel is truncated at +-5 sigma and edge-padded, which
-    preserves the integral of curves flat near the window edges.
+    returns the curve unchanged.  Otherwise the sampling step must lie in
+    [fwhm/MAX_IRF_STEPS, fwhm/4]; the kernel is truncated at +-5 sigma and
+    edge-padded, which preserves the integral of curves flat near the
+    window edges.
     """
     tau = np.asarray(tau, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -169,6 +174,9 @@ def convolve_irf(tau, values, fwhm):
     step = uniform_step(tau)
     if step > fwhm / 4 + 1e-12 * fwhm:
         raise ValueError("sampling step must be <= fwhm/4")
+    if fwhm > MAX_IRF_STEPS * step:  # checked before the kernel is built
+        raise ValueError("IRF FWHM / step (--irf-fwhm-ns / --tau-step-ns) is %.3g; it may be at most %d"
+                         % (fwhm / step, MAX_IRF_STEPS))
     half, kernel = _irf_kernel(step, float(fwhm))
     padded = values[..., np.minimum(np.maximum(np.arange(-half, n + half), 0), n - 1)]
     if values.ndim == 1:

@@ -26,15 +26,14 @@ class DetectionConfig:
     """Detector pair and correlator settings.  Times in ns.
 
     irf_fwhm_pair is the FWHM of the pair response; each detector jitters
-    with FWHM irf_fwhm_pair/sqrt(2).  electronic_delay None means the stop
-    cable delay is set to -tau_min so the recorded axis is centred.
+    with FWHM irf_fwhm_pair/sqrt(2).  The stop cable delay is -tau_min, so
+    each bin of mca_range is labelled with its true start-stop delay.
     """
 
     irf_fwhm_pair: float = 0.42
     efficiency: tuple[float, float] = (1.0, 1.0)
     dead_time: tuple[float, float] = (0.0, 0.0)
     background_fraction: float = 0.0
-    electronic_delay: float | None = None
     # 238 bins of 0.21 ns; zero delay falls on a bin edge
     mca_range: tuple[float, float] = (-24.99, 24.99)
     bin_width: float = 0.21
@@ -53,16 +52,10 @@ class DetectionConfig:
             raise ValueError("background_fraction must lie in [0, 1)")
         if self.correlation_mode not in ("tac", "full"):
             raise ValueError("correlation_mode must be 'tac' or 'full'")
-        if self.electronic_delay is not None and not math.isfinite(self.electronic_delay):
-            raise ValueError("electronic_delay must be finite")
         if not all(math.isfinite(v) for v in (*self.mca_range, self.bin_width)):
             raise ValueError("mca_range and bin_width must be finite")
         # fail early if the binning cannot tile the range
         make_bin_edges(self.mca_range[0], self.mca_range[1], self.bin_width)
-
-    @property
-    def resolved_delay(self):
-        return -self.mca_range[0] if self.electronic_delay is None else self.electronic_delay
 
     @property
     def jitter_sigma(self):
@@ -158,9 +151,9 @@ def apply_detector(channels, cfg: DetectionConfig, rng, duration):
 def tac_mca_histogram(channels, cfg: DetectionConfig) -> CorrelationHistogram:
     """Correlate channel 3 starts against channel 4 stops.
 
-    tac mode: stops pass through the delay cable, a newer start supersedes a
-    pending one, and each recorded conversion consumes its start.  full mode
-    histograms every cross pair, delay folded in the same way.
+    tac mode: stops pass through the delay cable (-tau_min), a newer start
+    supersedes a pending one, and each recorded conversion consumes its
+    start.  full mode histograms the delay t4 - t3 of every cross pair.
     """
     tau_min, tau_max = cfg.mca_range
     edges = make_bin_edges(tau_min, tau_max, cfg.bin_width)
@@ -168,12 +161,9 @@ def tac_mca_histogram(channels, cfg: DetectionConfig) -> CorrelationHistogram:
     t4 = np.asarray(channels[4], dtype=float)
 
     if cfg.correlation_mode == "full":
-        # axis value for a pair is (t4 + delay) - t3 + tau_min, which is the
-        # plain delay t4 - t3 when the cable delay is the default -tau_min
-        counts = pairwise_delay_counts(t3, t4 + (cfg.resolved_delay + tau_min), edges)
-        return CorrelationHistogram(edges, counts)
+        return CorrelationHistogram(edges, pairwise_delay_counts(t3, t4, edges))
 
-    stops = t4 + cfg.resolved_delay
+    stops = t4 - tau_min
     span = tau_max - tau_min
     nbins = len(edges) - 1
     js = np.searchsorted(t3, stops, side="right") - 1

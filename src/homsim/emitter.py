@@ -19,17 +19,6 @@ import numpy as np
 from .coherence import EmitterParams
 
 
-@dataclass(frozen=True)
-class StreamConfig:
-    emitter: EmitterParams
-    duration: float
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if not 0 < self.duration < math.inf:
-            raise ValueError("duration must be positive and finite")
-
-
 @dataclass
 class PhotonStream:
     """Array-backed photon record; times strictly increasing, in ns."""
@@ -58,10 +47,12 @@ def mean_cycle_time(p: EmitterParams):
     return 1.0 / p.w_p + vib + 1.0 / p.gamma_spon
 
 
-def simulate_emission_stream(cfg: StreamConfig) -> PhotonStream:
-    """Generate the photon stream for one run.  Bit-identical for equal configs."""
-    p = cfg.emitter
-    rng = np.random.default_rng(cfg.rng_seed)
+def simulate_emission_stream(p: EmitterParams, duration, seed=0) -> PhotonStream:
+    """The photon stream of one run over (0, duration) ns.  Bit-identical
+    for equal arguments."""
+    if not 0 < duration < math.inf:
+        raise ValueError("duration must be positive and finite")
+    rng = np.random.default_rng(seed)
     has_vib = not math.isinf(p.gamma_vib)
     mean_wait = mean_cycle_time(p)
 
@@ -69,7 +60,7 @@ def simulate_emission_stream(cfg: StreamConfig) -> PhotonStream:
     eps_parts = []
     t_last = 0.0
     prev_eps = 0.0
-    n_block = max(int(cfg.duration / mean_wait * 1.1) + 64, 64)
+    n_block = max(int(duration / mean_wait * 1.1) + 64, 64)
     while True:
         # exponential(scale) is scale * standard_exponential, so drawing into
         # the block's two arrays and scaling them in place gives the same
@@ -91,17 +82,17 @@ def simulate_emission_stream(cfg: StreamConfig) -> PhotonStream:
         eps_parts.append(eps)
         t_last = t[-1]
         prev_eps = eps[-1]
-        if t_last >= cfg.duration:
+        if t_last >= duration:
             break
-        n_block = max(int((cfg.duration - t_last) / mean_wait * 1.2) + 64, 64)
+        n_block = max(int((duration - t_last) / mean_wait * 1.2) + 64, 64)
 
     # the times increase, so only the last block runs past the end.  It is
     # shrunk in place to its photons before the end (no view of it is
     # alive): its surplus draws, about a tenth of the stream, are freed
     # without a copy.  Only a run that needed more blocks joins them
-    n = int(np.searchsorted(t, cfg.duration))
+    n = int(np.searchsorted(t, duration))
     t.resize(n, refcheck=False)
     eps.resize(n, refcheck=False)
     if len(times_parts) > 1:
         t, eps = np.concatenate(times_parts), np.concatenate(eps_parts)
-    return PhotonStream(t, eps, cfg.duration)
+    return PhotonStream(t, eps, duration)

@@ -19,7 +19,7 @@ from .pipeline import RunConfig, default_run_config
 
 # The run-config schema, one row per key in echo order: where the value
 # lives in a RunConfig (a digit indexes a tuple field), and the word that
-# stands for None ("auto") or INSTANTANEOUS ("instantaneous") in the text.
+# stands for INSTANTANEOUS ("instantaneous") in the text.
 CONFIG_FIELDS = {
     "gamma_spon": ("emitter.gamma_spon", None),
     "gamma_pure": ("emitter.gamma_pure", None),
@@ -30,7 +30,6 @@ CONFIG_FIELDS = {
     "mode_match": ("interferometer.bs.mode_match", None),
     "pol_mode": ("interferometer.pol_mode", None),
     "arm_prob_long": ("interferometer.arm_prob_long", None),
-    "pairing_window": ("interferometer.pairing_window", "auto"),
     "pairing": ("interferometer.pairing", None),
     "irf_fwhm_pair": ("detection.irf_fwhm_pair", None),
     "efficiency_3": ("detection.efficiency.0", None),
@@ -38,7 +37,6 @@ CONFIG_FIELDS = {
     "dead_time_3": ("detection.dead_time.0", None),
     "dead_time_4": ("detection.dead_time.1", None),
     "background_fraction": ("detection.background_fraction", None),
-    "electronic_delay": ("detection.electronic_delay", "auto"),
     "tau_min": ("detection.mca_range.0", None),
     "tau_max": ("detection.mca_range.1", None),
     "bin_width": ("detection.bin_width", None),
@@ -50,7 +48,7 @@ CONFIG_FIELDS = {
     "norm_hi": ("norm_region.1", None),
 }
 
-_SENTINEL_VALUES = {"auto": None, "instantaneous": INSTANTANEOUS}
+_SENTINEL_VALUES = {"instantaneous": INSTANTANEOUS}
 
 
 def _field(obj, path):
@@ -66,10 +64,10 @@ def _encode(value, sentinel):
 
 
 def _decode(text, default, sentinel):
-    """Parse text with the type of the field's default (float if None)."""
+    """Parse text with the type of the field's default."""
     if sentinel is not None and text == sentinel:
         return _SENTINEL_VALUES[sentinel]
-    return type(default)(text) if isinstance(default, (str, int)) else float(text)
+    return type(default)(text)
 
 
 def _replace(obj, values):

@@ -3,7 +3,7 @@ across the pipeline."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,7 +40,6 @@ class CorrelationHistogram:
     normalized: np.ndarray | None = None
     normalization_constant: float | None = None
     norm_region: tuple[float, float] | None = None
-    truncated: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         self.bin_edges = np.asarray(self.bin_edges, dtype=float)

@@ -5,9 +5,10 @@ extra delay on the long arm, and leaves the output splitter through port 3
 or 4 independently.  In parallel polarization, opposite-arm photons whose
 envelopes overlap at both detection instants can instead bunch into a
 common port; bunching_probability states that law once, for whole arrays
-of pairs.  _candidate_pairs applies it to the pairs within the pairing
-window whose wave packets overlap (the only ones it can score above zero),
-and match_pairs draws an exclusive matching that delivers it.
+of pairs.  _candidate_pairs applies it to the pairs that arrive within ten
+radiative lifetimes of each other and whose wave packets overlap (the only
+ones it can score above zero), and match_pairs draws an exclusive matching
+that delivers it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ class InterferometerConfig:
     bs: BeamSplitterConfig = BeamSplitterConfig()
     pol_mode: str = "parallel"
     arm_prob_long: float = 0.5
-    pairing_window: float | None = None  # None: 10/gamma_spon at run time
     pairing: str = "weighted"  # weighted | none
 
     def __post_init__(self):
@@ -41,13 +41,8 @@ class InterferometerConfig:
             raise ValueError("pol_mode must be 'parallel' or 'orthogonal'")
         if not 0.0 <= self.arm_prob_long <= 1.0:
             raise ValueError("arm_prob_long must lie in [0, 1]")
-        if self.pairing_window is not None and not 0 < self.pairing_window < math.inf:
-            raise ValueError("pairing_window must be positive and finite")
         if self.pairing not in ("weighted", "none"):
             raise ValueError("pairing must be weighted or none")
-
-    def resolved_window(self, p: EmitterParams):
-        return self.pairing_window if self.pairing_window is not None else 10.0 / p.gamma_spon
 
 
 @dataclass
@@ -141,8 +136,12 @@ def match_pairs(n_photons, a_idx, b_idx, q, rng):
     cs = np.cumsum(q_s)
     grp = np.flatnonzero(np.r_[True, ph_s[1:] != ph_s[:-1]])
     base = np.repeat(cs[grp] - q_s[grp], np.diff(np.r_[grp, len(ph_s)]))
+    # 1 - (cs - q_s - base) in place: the same operations, no temporaries
+    cs -= q_s
+    cs -= base
+    del ph_s, q_s, grp, base
     surv = np.empty(2 * m)
-    surv[so] = 1.0 - (cs - q_s - base)
+    surv[so] = np.subtract(1.0, cs, out=cs)
     s_a = surv[:m]
     s_b = surv[m:]
 
@@ -230,7 +229,7 @@ def interfere_stream(stream: PhotonStream, cfg: InterferometerConfig, p: Emitter
     del r  # spent: the pairing and the port split reuse its space
 
     if cfg.pol_mode == "parallel" and cfg.pairing == "weighted" and cfg.bs.mode_match > 0 and n > 1:
-        a_idx, b_idx, q = _candidate_pairs(routed, p, cfg.bs, cfg.resolved_window(p))
+        a_idx, b_idx, q = _candidate_pairs(routed, p, cfg.bs, 10.0 / p.gamma_spon)
         a_o, b_o, acc = match_pairs(n, a_idx, b_idx, q, rng)
         det = rng.random(len(a_o)) < 0.5  # the common port: 3 if True
         port3[a_o[acc]] = det[acc]

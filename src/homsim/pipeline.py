@@ -17,7 +17,7 @@ import numpy as np
 
 from .coherence import BeamSplitterConfig, EmitterParams
 from .detection import DetectionConfig, apply_detector, norm_bins, tac_mca_histogram
-from .emitter import StreamConfig, simulate_emission_stream
+from .emitter import simulate_emission_stream
 from .histogram import make_bin_edges
 from .interferometer import InterferometerConfig, interfere_stream
 
@@ -64,7 +64,7 @@ def _stage_rng(seed, stage):
 def run_replica(rc: RunConfig, replica_index=0):
     """One replica; returns (stream, detected channel times)."""
     seed = rc.seed + replica_index
-    stream = simulate_emission_stream(StreamConfig(rc.emitter, rc.duration, seed))
+    stream = simulate_emission_stream(rc.emitter, rc.duration, seed)
     channels = interfere_stream(stream, rc.interferometer, rc.emitter, _stage_rng(seed, 1))
     channels = apply_detector(channels, rc.detection, _stage_rng(seed, 2), rc.duration)
     return stream, channels

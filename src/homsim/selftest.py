@@ -79,9 +79,8 @@ def _analytic_checks(rep: _Report):
 def _emitter_checks(rep: _Report, quick):
     p = EmitterParams(gamma_spon=1.0, gamma_pure=3.0, w_p=2.5)
     dur = 2e4 if quick else 2e5
-    cfg = emitter.StreamConfig(p, dur, rng_seed=11)
-    s1 = emitter.simulate_emission_stream(cfg)
-    s2 = emitter.simulate_emission_stream(cfg)
+    s1 = emitter.simulate_emission_stream(p, dur, seed=11)
+    s2 = emitter.simulate_emission_stream(p, dur, seed=11)
     rep.check(
         "stream determinism",
         np.array_equal(s1.emission_times, s2.emission_times)

@@ -178,9 +178,23 @@ def test_exit_codes(tmp_path, capsys):
     for flag, value in (("--gamma-pure", "nan"), ("--delta-t-ns", "nan"), ("--duration-ns", "inf"),
                         ("--config", str(greedy)), ("--config", str(norm))):
         assert main(["simulate", flag, value, "--out", str(tmp_path / "bad")]) == 3
+    # removed keys (the pair search window and the stop delay are worked out
+    # from the emitter and the MCA range) are unknown keys, named with their line
+    for key, value in (("pairing_window", "auto"), ("electronic_delay", "0.0")):
+        removed = tmp_path / ("%s.config.txt" % key)
+        removed.write_text("duration = 20000.0\n%s = %s\n" % (key, value))
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(removed), "--out", str(tmp_path / "bad")]) == 3
+        err = capsys.readouterr().err
+        assert "line 2" in err and key in err
     assert not list(tmp_path.glob("bad*"))
     for flag, value in (("--irf-fwhm-ns", "inf"), ("--irf-fwhm-ns", "nan")):
         assert main(["analytic", flag, value, "--out", str(tmp_path / "bad.csv")]) == 3
+    # an IRF kernel of about 1.78M samples on 2,001 points, refused before it is built
+    capsys.readouterr()
+    assert main(["analytic", "--tau-max-ns", "1e-3", "--tau-step-ns", "1e-6", "--out", str(tmp_path / "bad.csv")]) == 3
+    err = capsys.readouterr().err
+    assert "--irf-fwhm-ns" in err and "--tau-step-ns" in err
     # an infinite range, a point count that overflows or one past the bound
     # (checked before any curve is built) is bad input too
     too_many = ["--tau-max-ns", "1", "--tau-step-ns", repr(1 / (MAX_TAU_STEPS + 1))]

@@ -8,6 +8,7 @@ emitter B is the molecule-like one (gamma_spon=1/3.4, gamma_pure=0.2).
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from homsim import (
     overlap_sq,
     visibility,
 )
-from homsim.coherence import FWHM_TO_SIGMA, _irf_kernel
+from homsim import coherence
+from homsim.coherence import FWHM_TO_SIGMA, MAX_IRF_STEPS, _irf_kernel
 
 G1_A_AT_02 = 0.496585303791409515
 G2_SOURCE_A_AT_02 = 0.503414696208590485
@@ -231,6 +233,20 @@ def test_convolve_irf_rows_and_cached_kernel():
     expect[0][:] = 1e9
     assert np.array_equal(convolve_irf(tau, curves, 0.4), want)
     assert np.array_equal(convolve_irf(tau, curves[0], 0.4), want[0])
+
+
+def test_convolve_irf_bounds_the_kernel():
+    # up to MAX_IRF_STEPS samples per FWHM are allowed; one ulp past it the
+    # call fails before any kernel is built (steps and FWHM exact in binary)
+    step = 2.0**-10
+    tau = step * np.arange(-20, 21)
+    fwhm = MAX_IRF_STEPS * step
+    np.testing.assert_allclose(convolve_irf(tau, np.ones(len(tau)), fwhm), 1.0)
+    with mock.patch.object(coherence, "_irf_kernel", wraps=_irf_kernel) as kernel:
+        for values in (np.ones(len(tau)), np.ones((2, len(tau)))):
+            with pytest.raises(ValueError, match="--irf-fwhm-ns / --tau-step-ns"):
+                convolve_irf(tau, values, np.nextafter(fwhm, math.inf))
+    kernel.assert_not_called()
 
 
 def test_fwhm_sigma_constant():

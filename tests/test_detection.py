@@ -148,7 +148,7 @@ def test_detection_config_validation():
 
 # --- correlator -----------------------------------------------------------
 
-TAC = dict(mca_range=(0.0, 10.0), bin_width=0.5, correlation_mode="tac", electronic_delay=0.0)
+TAC = dict(mca_range=(0.0, 10.0), bin_width=0.5, correlation_mode="tac")
 
 
 def test_tac_basic_conversion():
@@ -204,14 +204,15 @@ def test_full_mode_matches_bruteforce(rng):
     assert np.array_equal(got.counts, expect)
 
 
-def test_full_mode_electronic_delay_shifts_axis():
-    ch = {3: np.array([5.0]), 4: np.array([6.0])}
-    h0 = tac_mca_histogram(ch, _flat_cfg(mca_range=(0.0, 10.0), bin_width=0.5,
-                                         correlation_mode="full", electronic_delay=0.0))
-    h2 = tac_mca_histogram(ch, _flat_cfg(mca_range=(0.0, 10.0), bin_width=0.5,
-                                         correlation_mode="full", electronic_delay=2.0))
-    assert h0.counts[2] == 1 and h0.total_counts == 1
-    assert h2.counts[6] == 1 and h2.total_counts == 1
+def test_off_centre_range_bins_true_delay():
+    # the stop cable delay is -tau_min, so on a range that excludes zero both
+    # correlators put a 3.05-ns pair in the bin whose label holds 3.05 ns
+    ch = {3: np.array([5.0]), 4: np.array([8.05])}
+    for mode in ("tac", "full"):
+        h = tac_mca_histogram(ch, _flat_cfg(mca_range=(2.0, 4.0), bin_width=0.1, correlation_mode=mode))
+        assert h.total_counts == 1
+        i = int(np.flatnonzero(h.counts)[0])
+        assert h.bin_edges[i] <= 3.05 < h.bin_edges[i + 1]
 
 
 def test_default_delay_centres_the_axis():

@@ -10,7 +10,6 @@ import pytest
 from homsim import (
     EmitterParams,
     PhotonStream,
-    StreamConfig,
     empirical_g2,
     g2_source,
     make_bin_edges,
@@ -21,17 +20,22 @@ from homsim.histogram import pairwise_delay_counts
 
 
 def test_reproducible_and_seed_sensitive(strong_dephasing):
-    cfg = StreamConfig(strong_dephasing, 5e4, rng_seed=5)
-    s1 = simulate_emission_stream(cfg)
-    s2 = simulate_emission_stream(cfg)
+    s1 = simulate_emission_stream(strong_dephasing, 5e4, seed=5)
+    s2 = simulate_emission_stream(strong_dephasing, 5e4, seed=5)
     assert np.array_equal(s1.emission_times, s2.emission_times)
     assert np.array_equal(s1.envelope_delays, s2.envelope_delays)
-    s3 = simulate_emission_stream(StreamConfig(strong_dephasing, 5e4, rng_seed=6))
+    s3 = simulate_emission_stream(strong_dephasing, 5e4, seed=6)
     assert not np.array_equal(s1.emission_times, s3.emission_times)
 
 
+def test_stream_rejects_bad_duration(strong_dephasing):
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            simulate_emission_stream(strong_dephasing, bad)
+
+
 def test_ordering_and_bounds(strong_dephasing):
-    st = simulate_emission_stream(StreamConfig(strong_dephasing, 2e4, rng_seed=2))
+    st = simulate_emission_stream(strong_dephasing, 2e4, seed=2)
     assert np.all(np.diff(st.emission_times) > 0)
     assert st.emission_times[0] > 0
     assert st.emission_times[-1] < st.duration
@@ -46,10 +50,10 @@ def test_emission_peak_memory(molecule, gamma_vib):
     # or concatenation adds a third.  Copying the block out held about 4.2
     # photon-sized arrays.
     p = dataclasses.replace(molecule, gamma_vib=gamma_vib)
-    simulate_emission_stream(StreamConfig(p, 1e3, rng_seed=1))  # numpy's first-call allocations
+    simulate_emission_stream(p, 1e3, seed=1)  # numpy's first-call allocations
     tracemalloc.start()
     try:
-        st = simulate_emission_stream(StreamConfig(p, 1e6, rng_seed=3))
+        st = simulate_emission_stream(p, 1e6, seed=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -65,7 +69,7 @@ def test_mean_cycle_time(strong_dephasing):
 
 
 def test_mean_rate(strong_dephasing):
-    st = simulate_emission_stream(StreamConfig(strong_dephasing, 2e5, rng_seed=8))
+    st = simulate_emission_stream(strong_dephasing, 2e5, seed=8)
     expected = 2.5 * 1.0 / 3.5  # W_P Gamma / (W_P + Gamma)
     se = np.sqrt(len(st)) / st.duration
     assert abs(st.mean_rate - expected) < 3 * se
@@ -73,7 +77,7 @@ def test_mean_rate(strong_dephasing):
 
 def test_waiting_time_moments():
     p = EmitterParams(gamma_spon=1.0, gamma_pure=0.0, w_p=2.0)
-    st = simulate_emission_stream(StreamConfig(p, 3e5, rng_seed=12))
+    st = simulate_emission_stream(p, 3e5, seed=12)
     waits = np.diff(st.emission_times)
     n = len(waits)
     mean, var = 1 / 2 + 1, 1 / 4 + 1
@@ -85,7 +89,7 @@ def test_waiting_time_moments():
 
 def test_vibronic_stage_adds_delay():
     p = EmitterParams(gamma_spon=1.0, gamma_pure=0.0, w_p=2.0, gamma_vib=4.0)
-    st = simulate_emission_stream(StreamConfig(p, 3e5, rng_seed=13))
+    st = simulate_emission_stream(p, 3e5, seed=13)
     waits = np.diff(st.emission_times)
     mean = 1 / 2 + 1 / 4 + 1
     var = 1 / 4 + 1 / 16 + 1
@@ -93,7 +97,7 @@ def test_vibronic_stage_adds_delay():
 
 
 def test_antibunching_and_source_model(strong_dephasing):
-    st = simulate_emission_stream(StreamConfig(strong_dephasing, 1.4e6, rng_seed=17))
+    st = simulate_emission_stream(strong_dephasing, 1.4e6, seed=17)
     assert len(st) >= 1_000_000
     hist = empirical_g2(st, 0.02, 1.0)
     assert hist.normalized[0] < 0.1
@@ -104,7 +108,7 @@ def test_antibunching_and_source_model(strong_dephasing):
 
 
 def test_empirical_g2_normalization(strong_dephasing):
-    st = simulate_emission_stream(StreamConfig(strong_dephasing, 1e4, rng_seed=3))
+    st = simulate_emission_stream(strong_dephasing, 1e4, seed=3)
     hist = empirical_g2(st, 0.05, 2.0)
     assert hist.normalization_constant == pytest.approx(len(st) ** 2 / st.duration * 0.05, rel=1e-12)
     np.testing.assert_allclose(hist.normalized, hist.counts / hist.normalization_constant)

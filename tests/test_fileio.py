@@ -45,13 +45,8 @@ def test_config_sentinels():
     rc = build_run_config({"gamma_vib": "instantaneous"})
     assert rc.emitter.gamma_vib == INSTANTANEOUS
     assert parse_config_text(format_config(rc))["gamma_vib"] == "instantaneous"
-    rc = build_run_config({"gamma_vib": "2.5", "pairing_window": "7.0", "electronic_delay": "1.5"})
+    rc = build_run_config({"gamma_vib": "2.5"})
     assert rc.emitter.gamma_vib == 2.5
-    assert rc.interferometer.pairing_window == 7.0
-    assert rc.detection.electronic_delay == 1.5
-    rc = build_run_config({"pairing_window": "auto", "electronic_delay": "auto"})
-    assert rc.interferometer.pairing_window is None
-    assert rc.detection.electronic_delay is None
 
 
 # for every key: a value other than the default, spelled as format_config
@@ -66,7 +61,6 @@ NON_DEFAULT = {
     "mode_match": ("0.5", lambda rc: rc.interferometer.bs.mode_match),
     "pol_mode": ("orthogonal", lambda rc: rc.interferometer.pol_mode),
     "arm_prob_long": ("0.3", lambda rc: rc.interferometer.arm_prob_long),
-    "pairing_window": ("7.0", lambda rc: rc.interferometer.pairing_window),
     "pairing": ("none", lambda rc: rc.interferometer.pairing),
     "irf_fwhm_pair": ("0.3", lambda rc: rc.detection.irf_fwhm_pair),
     "efficiency_3": ("0.3", lambda rc: rc.detection.efficiency[0]),
@@ -74,7 +68,6 @@ NON_DEFAULT = {
     "dead_time_3": ("22.0", lambda rc: rc.detection.dead_time[0]),
     "dead_time_4": ("11.0", lambda rc: rc.detection.dead_time[1]),
     "background_fraction": ("0.1", lambda rc: rc.detection.background_fraction),
-    "electronic_delay": ("1.5", lambda rc: rc.detection.electronic_delay),
     "tau_min": ("-20.79", lambda rc: rc.detection.mca_range[0]),
     "tau_max": ("20.79", lambda rc: rc.detection.mca_range[1]),
     "bin_width": ("0.42", lambda rc: rc.detection.bin_width),
@@ -99,8 +92,8 @@ def test_config_field_roundtrip(key):
 
 
 def test_config_rejects_non_finite():
-    for key in ("gamma_spon", "gamma_pure", "w_p", "delta_t", "pairing_window", "irf_fwhm_pair",
-                "dead_time_3", "electronic_delay", "tau_max", "bin_width", "duration", "norm_hi"):
+    for key in ("gamma_spon", "gamma_pure", "w_p", "delta_t", "irf_fwhm_pair",
+                "dead_time_3", "tau_max", "bin_width", "duration", "norm_hi"):
         for bad in ("nan", "inf"):
             with pytest.raises(ValueError):
                 build_run_config({key: bad})
@@ -131,7 +124,6 @@ def config_text(draw):
         "mode_match": _num(0.0, 1.0),
         "pol_mode": st.sampled_from(["parallel", "orthogonal"]),
         "arm_prob_long": _num(0.0, 1.0),
-        "pairing_window": _num_or("auto", 1e-3, 1e3),
         "pairing": st.sampled_from(["weighted", "none"]),
         "irf_fwhm_pair": _num(0.0, 10.0),
         "efficiency_3": _num(0.0, 1.0),
@@ -139,7 +131,6 @@ def config_text(draw):
         "dead_time_3": _num(0.0, 1e3),
         "dead_time_4": _num(0.0, 1e3),
         "background_fraction": _num(0.0, 1.0, exclude_max=True),
-        "electronic_delay": _num_or("auto", -1e3, 1e3),
         "correlation_mode": st.sampled_from(["tac", "full"]),
         "duration": _num(1e-3, 1e12),
         "seed": st.integers(0, 2**32).map(repr),
@@ -160,9 +151,9 @@ def config_text(draw):
 
 # keys whose value must be a finite number (gamma_vib = inf means instantaneous)
 FINITE_ONLY = (
-    "gamma_spon", "gamma_pure", "w_p", "delta_t", "theta", "mode_match", "arm_prob_long", "pairing_window",
+    "gamma_spon", "gamma_pure", "w_p", "delta_t", "theta", "mode_match", "arm_prob_long",
     "irf_fwhm_pair", "efficiency_3", "efficiency_4", "dead_time_3", "dead_time_4", "background_fraction",
-    "electronic_delay", "tau_min", "tau_max", "bin_width", "duration", "norm_lo", "norm_hi",
+    "tau_min", "tau_max", "bin_width", "duration", "norm_lo", "norm_hi",
 )
 
 

@@ -1,6 +1,7 @@
 """Delay-line routing, pairwise interference law, and stochastic matching."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,12 +11,12 @@ from homsim import (
     EmitterParams,
     InterferometerConfig,
     PhotonStream,
-    StreamConfig,
     bunching_probability,
     interfere_stream,
     route,
     simulate_emission_stream,
 )
+from homsim import interferometer
 from homsim.interferometer import RoutedStream, _candidate_pairs, match_pairs
 
 Q_EXAMPLE = 0.670320046035639301  # exp(-0.4), balanced splitter, M=1
@@ -29,7 +30,7 @@ def _itf(**kw):
 
 
 def test_route_applies_exact_delay(strong_dephasing):
-    stream = simulate_emission_stream(StreamConfig(strong_dephasing, 3e3, rng_seed=4))
+    stream = simulate_emission_stream(strong_dephasing, 3e3, seed=4)
     routed = route(stream, _itf(), np.random.default_rng(7))
     assert len(routed) == len(stream)
     assert np.all(np.diff(routed.arrival_times) >= 0)
@@ -45,7 +46,7 @@ def test_route_applies_exact_delay(strong_dephasing):
 
 
 def test_route_arm_fraction_and_polarization(strong_dephasing):
-    stream = simulate_emission_stream(StreamConfig(strong_dephasing, 3e4, rng_seed=9))
+    stream = simulate_emission_stream(strong_dephasing, 3e4, seed=9)
     cfg = _itf(arm_prob_long=0.3, pol_mode="orthogonal")
     routed = route(stream, cfg, np.random.default_rng(11))
     frac = routed.long_arm.mean()
@@ -200,7 +201,7 @@ def test_match_pairs_exclusive(rng):
 
 
 def test_interfere_stream_conserves_and_reproduces(strong_dephasing):
-    stream = simulate_emission_stream(StreamConfig(strong_dephasing, 2e4, rng_seed=31))
+    stream = simulate_emission_stream(strong_dephasing, 2e4, seed=31)
     for pairing in ("weighted", "none"):
         cfg = _itf(pairing=pairing)
         out1 = interfere_stream(stream, cfg, strong_dephasing, np.random.default_rng(7))
@@ -214,7 +215,7 @@ def test_interfere_stream_conserves_and_reproduces(strong_dephasing):
 def test_no_interference_paths_agree(strong_dephasing):
     # orthogonal polarization, M=0 and pairing "none" all skip the pairing
     # stage and must consume identical random draws
-    stream = simulate_emission_stream(StreamConfig(strong_dephasing, 2e4, rng_seed=41))
+    stream = simulate_emission_stream(strong_dephasing, 2e4, seed=41)
     ref = interfere_stream(stream, _itf(pairing="none"), strong_dephasing, np.random.default_rng(3))
     orth = interfere_stream(stream, _itf(pol_mode="orthogonal"), strong_dephasing, np.random.default_rng(3))
     bs0 = BeamSplitterConfig(theta=math.pi / 4, mode_match=0.0)
@@ -233,9 +234,11 @@ def test_interferometer_config_validation(balanced_splitter):
         _itf(pairing="quadratic")
     with pytest.raises(ValueError):
         _itf(pairing="greedy")
-    for bad in (dict(delta_t=math.nan), dict(delta_t=math.inf), dict(pairing_window=math.inf)):
+    for bad in (dict(delta_t=math.nan), dict(delta_t=math.inf)):
         with pytest.raises(ValueError):
             _itf(**bad)
+    # the pair search reaches ten radiative lifetimes: 5 ns at gamma_spon 2
     p = EmitterParams(gamma_spon=2.0, gamma_pure=0.0, w_p=1.0)
-    assert _itf().resolved_window(p) == pytest.approx(5.0)
-    assert _itf(pairing_window=3.0).resolved_window(p) == 3.0
+    with mock.patch.object(interferometer, "_candidate_pairs", wraps=_candidate_pairs) as search:
+        interfere_stream(simulate_emission_stream(p, 100.0, seed=1), _itf(), p, np.random.default_rng(1))
+    assert search.call_args.args[3] == 5.0

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from homsim import analysis, emitter, fileio
 from homsim.coherence import FWHM_TO_SIGMA, BeamSplitterConfig, EmitterParams, convolve_irf, g2_source
 from homsim.detection import CHANNELS, DetectionConfig, _dead_time_filter, apply_detector, normalize, tac_mca_histogram
-from homsim.emitter import PhotonStream, StreamConfig, simulate_emission_stream
+from homsim.emitter import PhotonStream, simulate_emission_stream
 from homsim.histogram import make_bin_edges, window_pairs
 from homsim.interferometer import (
     Q_MIN,
@@ -106,7 +106,7 @@ def _candidate_pairs_window(routed, p, bs, window, chunk=50_000):
 def _tac_loop(t3, t4, cfg):
     tau_min, tau_max = cfg.mca_range
     edges = make_bin_edges(tau_min, tau_max, cfg.bin_width)
-    stops = t4 + cfg.resolved_delay
+    stops = t4 + -tau_min
     span = tau_max - tau_min
     nbins = len(edges) - 1
     js = np.searchsorted(t3, stops, side="right") - 1
@@ -197,18 +197,17 @@ def _hom_model_curves_per_call(centers, bin_width, gamma_spon, gamma_pure, w_p, 
     return par.reshape(n, n_sub).mean(axis=1), orth.reshape(n, n_sub).mean(axis=1)
 
 
-def _emission_concat(cfg):
+def _emission_concat(p, duration, seed):
     # draws through rng.exponential, and joins the blocks with np.concatenate
     # even when there is one; mean_cycle_time is looked up on the module so
     # a test can patch it for both versions
-    p = cfg.emitter
-    rng = np.random.default_rng(cfg.rng_seed)
+    rng = np.random.default_rng(seed)
     has_vib = not math.isinf(p.gamma_vib)
     mean_wait = emitter.mean_cycle_time(p)
     times_parts, eps_parts = [], []
     t_last = 0.0
     prev_eps = 0.0
-    n_block = max(int(cfg.duration / mean_wait * 1.1) + 64, 64)
+    n_block = max(int(duration / mean_wait * 1.1) + 64, 64)
     while True:
         waits = rng.exponential(1.0 / p.w_p, n_block)
         if has_vib:
@@ -222,12 +221,12 @@ def _emission_concat(cfg):
         eps_parts.append(eps)
         t_last = t0[-1]
         prev_eps = eps[-1]
-        if t_last >= cfg.duration:
+        if t_last >= duration:
             break
-        n_block = max(int((cfg.duration - t_last) / mean_wait * 1.2) + 64, 64)
-    n = np.searchsorted(t0, cfg.duration)
+        n_block = max(int((duration - t_last) / mean_wait * 1.2) + 64, 64)
+    n = np.searchsorted(t0, duration)
     times_parts[-1], eps_parts[-1] = t0[:n], eps[:n]
-    return PhotonStream(np.concatenate(times_parts), np.concatenate(eps_parts), cfg.duration)
+    return PhotonStream(np.concatenate(times_parts), np.concatenate(eps_parts), duration)
 
 
 def _interfere_stream_int8(stream, cfg, p, rng):
@@ -240,7 +239,7 @@ def _interfere_stream_int8(stream, cfg, p, rng):
     r = rng.random(n)
     ch = np.where(np.where(routed.long_arm, r < s2, r < c2), np.int8(3), np.int8(4))
     if cfg.pol_mode == "parallel" and cfg.pairing == "weighted" and cfg.bs.mode_match > 0 and n > 1:
-        a_idx, b_idx, q = _candidate_pairs(routed, p, cfg.bs, cfg.resolved_window(p))
+        a_idx, b_idx, q = _candidate_pairs(routed, p, cfg.bs, 10.0 / p.gamma_spon)
         a_o, b_o, acc = match_pairs(n, a_idx, b_idx, q, rng)
         det = np.where(rng.random(len(a_o)) < 0.5, 3, 4).astype(np.int8)
         ch[a_o[acc]] = det[acc]
@@ -418,19 +417,20 @@ def test_candidate_pairs_equals_window_expansion(routed, gamma_pure, mode_match,
 
 def test_candidate_pairs_equals_window_expansion_on_a_run():
     rc = default_run_config()
-    stream = simulate_emission_stream(StreamConfig(rc.emitter, 2e5, 4))
+    stream = simulate_emission_stream(rc.emitter, 2e5, 4)
     routed = route(stream, rc.interferometer, np.random.default_rng(4))
-    window = rc.interferometer.resolved_window(rc.emitter)
+    window = 10.0 / rc.emitter.gamma_spon
     assert _assert_same_candidates(routed, rc.emitter, rc.interferometer.bs, window) > 10_000
 
 
 # --- TAC --------------------------------------------------------------------
 
 TAC_CONFIGS = [
-    DetectionConfig(mca_range=(0.0, 10.0), bin_width=0.5, correlation_mode="tac", electronic_delay=0.0),
+    DetectionConfig(mca_range=(0.0, 10.0), bin_width=0.5, correlation_mode="tac"),
     DetectionConfig(correlation_mode="tac"),
-    DetectionConfig(mca_range=(0.0, 2.1), bin_width=0.21, correlation_mode="tac", electronic_delay=0.3),
-    DetectionConfig(mca_range=(-1.0, 1.0), bin_width=0.1, correlation_mode="tac", electronic_delay=-2.0),
+    # off-centre ranges, whose stop cable delay -tau_min is not the default's
+    DetectionConfig(mca_range=(-0.3, 1.8), bin_width=0.21, correlation_mode="tac"),
+    DetectionConfig(mca_range=(2.0, 4.0), bin_width=0.1, correlation_mode="tac"),
 ]
 
 
@@ -568,8 +568,7 @@ def test_emission_equals_drawn_and_concatenated(p, duration, seed, cycle_scale):
     # falls short and the continuation blocks run
     mean = emitter.mean_cycle_time
     with mock.patch.object(emitter, "mean_cycle_time", lambda q: mean(q) * cycle_scale):
-        cfg = StreamConfig(p, duration, seed)
-        got, want = simulate_emission_stream(cfg), _emission_concat(cfg)
+        got, want = simulate_emission_stream(p, duration, seed), _emission_concat(p, duration, seed)
     _assert_same_bits(got.emission_times, want.emission_times)
     _assert_same_bits(got.envelope_delays, want.envelope_delays)
 
@@ -585,14 +584,12 @@ def test_emission_equals_drawn_and_concatenated(p, duration, seed, cycle_scale):
     pol_mode=st.sampled_from(["parallel", "orthogonal"]),
     arm_prob_long=st.sampled_from([0.5, 0.0, 1.0, 0.3]),
     pairing=st.sampled_from(["weighted", "none"]),
-    pairing_window=st.sampled_from([None, 1.0]),
 )
 def test_interfere_stream_equals_int8_port_split(p, duration, seed, delta_t, theta, mode_match, pol_mode,
-                                                 arm_prob_long, pairing, pairing_window):
+                                                 arm_prob_long, pairing):
     cfg = InterferometerConfig(delta_t=delta_t, bs=BeamSplitterConfig(theta=theta, mode_match=mode_match),
-                               pol_mode=pol_mode, arm_prob_long=arm_prob_long, pairing=pairing,
-                               pairing_window=pairing_window)
-    stream = simulate_emission_stream(StreamConfig(p, duration, seed))
+                               pol_mode=pol_mode, arm_prob_long=arm_prob_long, pairing=pairing)
+    stream = simulate_emission_stream(p, duration, seed)
     before = stream.emission_times.copy(), stream.envelope_delays.copy()
     got = interfere_stream(stream, cfg, p, np.random.default_rng(seed))
     # the input stream is read, never written
@@ -644,8 +641,8 @@ def test_stream_stages_equal_old_chain_on_a_run(pol_mode, correlation):
         det = dataclasses.replace(det, correlation_mode="tac", efficiency=(0.3, 0.3), dead_time=(22.0, 22.0))
     rc = dataclasses.replace(rc, interferometer=dataclasses.replace(rc.interferometer, pol_mode=pol_mode),
                              detection=det, duration=3e5, seed=8)
-    cfg = StreamConfig(rc.emitter, rc.duration, rc.seed)
-    stream, old = simulate_emission_stream(cfg), _emission_concat(cfg)
+    stream = simulate_emission_stream(rc.emitter, rc.duration, rc.seed)
+    old = _emission_concat(rc.emitter, rc.duration, rc.seed)
     _assert_same_bits(stream.emission_times, old.emission_times)
     got = interfere_stream(stream, rc.interferometer, rc.emitter, _stage_rng(rc.seed, 1))
     want = _interfere_stream_int8(stream, rc.interferometer, rc.emitter, _stage_rng(rc.seed, 1))
