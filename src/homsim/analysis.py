@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherence import FWHM_TO_SIGMA, EmitterParams, convolve_irf, g2_source, visibility
+from .coherence import FWHM_TO_SIGMA, MAX_IRF_STEPS, EmitterParams, convolve_irf, g2_source, visibility
 from .detection import DetectionConfig, normalize
 from .histogram import CorrelationHistogram
 
@@ -143,6 +143,9 @@ def hom_model(centers, bin_width, gamma_spon, delta_t, irf_fwhm):
     if irf_fwhm > 0:  # keep the sub-grid fine enough for the IRF kernel
         n_sub = max(FINE, int(np.ceil(4.0 * bin_width / irf_fwhm - 1e-9)))
     step = bin_width / n_sub
+    if irf_fwhm > MAX_IRF_STEPS * step:  # convolve_irf's bound, before the fit and in analyze's flags
+        raise ValueError("--irf-fwhm-ns is %.3g fitted bins (--bin histogram bins each); it may be at most %.3g"
+                         % (irf_fwhm / bin_width, MAX_IRF_STEPS / n_sub))
     offs = (np.arange(n_sub) - (n_sub - 1) / 2.0) * step
     grid = (centers[:, None] + offs[None, :]).ravel()
     delays = np.stack([grid, grid - delta_t, grid + delta_t])

@@ -261,12 +261,13 @@ def write_timetags(path, channels):
 
 
 def write_table(fh, header, columns):
-    """The header row, then row i of every column: the repr of its tolist()
-    value, so floats read back bit-identical, or empty for a None column."""
-    n = max(len(c) for c in columns if c is not None)
-    cells = [[""] * n if c is None else [repr(v) for v in np.asarray(c).tolist()] for c in columns]
+    """The header row, then row i of every column (an array): the repr of its
+    tolist() value, so floats read back bit-identical, or empty for a None
+    column.  Rows are formatted and written TAG_BLOCK at a time."""
     fh.write(header + "\n")
-    fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+    for s in range(0, max(len(c) for c in columns if c is not None), TAG_BLOCK):
+        cells = [[""] * TAG_BLOCK if c is None else [repr(v) for v in c[s : s + TAG_BLOCK].tolist()] for c in columns]
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def read_table(path, header, dtype):

@@ -24,6 +24,7 @@ from .histogram import window_pairs
 
 # pairs whose bunching probability falls below this are never candidates
 Q_MIN = 1e-12
+PORT_BLOCK = 1 << 16  # photons per slice of the port draw
 
 
 @dataclass(frozen=True)
@@ -45,26 +46,16 @@ class InterferometerConfig:
             raise ValueError("pairing must be weighted or none")
 
 
-@dataclass
-class RoutedStream:
-    """Photons after the delay line, sorted by arrival time."""
+def route(stream: PhotonStream, cfg: InterferometerConfig, rng):
+    """Send each photon through a random arm; long arm adds exactly delta_t.
 
-    arrival_times: np.ndarray
-    long_arm: np.ndarray  # bool
-    envelope_delays: np.ndarray
-
-    def __len__(self):
-        return len(self.arrival_times)
-
-
-def route(stream: PhotonStream, cfg: InterferometerConfig, rng) -> RoutedStream:
-    """Send each photon through a random arm; long arm adds exactly delta_t."""
+    Returns (long_arm, arrival, order): arm flags and arrivals in emission
+    order, and the stable permutation that sorts the arrivals.
+    """
     long_arm = rng.random(len(stream)) < cfg.arm_prob_long
     arrival = cfg.delta_t * long_arm  # then summed in place: one photon-sized temporary fewer
     arrival += stream.emission_times
-    order = np.argsort(arrival, kind="stable")
-    arrival = arrival[order]  # the unsorted arrivals are freed before the delays are gathered
-    return RoutedStream(arrival, long_arm[order], stream.envelope_delays[order])
+    return long_arm, arrival, np.argsort(arrival, kind="stable")
 
 
 def bunching_probability(u_a, u_b, arr_a, arr_b, gamma_pure, bs: BeamSplitterConfig):
@@ -168,23 +159,23 @@ def match_pairs(n_photons, a_idx, b_idx, q, rng):
     return a_o, b_o, accepted
 
 
-def _candidate_pairs(routed: RoutedStream, p: EmitterParams, bs: BeamSplitterConfig, window, chunk=50_000):
+def _candidate_pairs(arrival, envelope_delays, long_arm, p, bs, window, chunk=50_000):
     """All opposite-arm pairs within the arrival window whose bunching
     probability is non-negligible.  Returns (a_idx, b_idx, q).
 
-    A pair can overlap only if each photon arrives before the other's
-    detection instant, so each long-arm photon's short-arm range also ends
-    at its own instant and starts where the running maximum of the short-arm
-    instants reaches its arrival.  Only pairs whose q is zero are skipped,
-    so the output is that of scoring every window pair.  Long-arm photons
-    are taken `chunk` at a time, which only partitions the work; about one
-    in ten window pairs overlaps at the experiment point, so a chunk's
-    expansion is small next to the stream and the matcher.
+    Arrivals need only increase within each arm, as they do in emission
+    order.  A pair can overlap only if each photon arrives before the other's
+    detection instant, so each long-arm photon's short-arm range also ends at
+    its own instant and starts where the running maximum of the short-arm
+    instants reaches its arrival.  Only pairs whose q is zero are skipped, so
+    the output is that of scoring every window pair.  Long-arm photons are
+    taken `chunk` at a time, which only partitions the work; about one in ten
+    window pairs overlaps at the experiment point, so a chunk's expansion is
+    small next to the stream and the matcher.
     """
-    arrival = routed.arrival_times
-    u = arrival + routed.envelope_delays
-    idx_long = np.flatnonzero(routed.long_arm)
-    idx_short = np.flatnonzero(~routed.long_arm)
+    u = arrival + envelope_delays
+    idx_long = np.flatnonzero(long_arm)
+    idx_short = np.flatnonzero(~long_arm)
     arr_short = arrival[idx_short]
     reach_short = np.maximum.accumulate(u[idx_short])
 
@@ -192,10 +183,8 @@ def _candidate_pairs(routed: RoutedStream, p: EmitterParams, bs: BeamSplitterCon
     for start in range(0, len(idx_long), chunk):
         il = idx_long[start : start + chunk]
         arr_l = arrival[il]
-        lo = np.maximum(
-            np.searchsorted(arr_short, arr_l - window, side="left"),
-            np.searchsorted(reach_short, arr_l, side="left"),
-        )
+        lo = np.maximum(np.searchsorted(arr_short, arr_l - window, side="left"),
+                        np.searchsorted(reach_short, arr_l, side="left"))
         hi = np.searchsorted(arr_short, np.minimum(arr_l + window, u[il]), side="right")
         a, b = window_pairs(lo, np.maximum(hi, lo))  # positions in il and idx_short
         a, b = il[a], idx_short[b]
@@ -217,29 +206,36 @@ def interfere_stream(stream: PhotonStream, cfg: InterferometerConfig, p: Emitter
     Interference only moves opposite-port pairs to a common port; singles
     rates and totals are preserved.
     """
-    routed = route(stream, cfg, rng)
-    n = len(routed)
-
-    c2 = math.cos(cfg.bs.theta) ** 2
-    s2 = math.sin(cfg.bs.theta) ** 2
-    # port 3 with probability sin^2 (long arm) or cos^2 (short arm): one bool
-    # mask, drawn before any other photon-sized array is formed
-    r = rng.random(n)
-    port3 = np.where(routed.long_arm, r < s2, r < c2)
-    del r  # spent: the pairing and the port split reuse its space
+    long_arm, arrival, order = route(stream, cfg, rng)
+    n = len(arrival)
+    c2, s2 = math.cos(cfg.bs.theta) ** 2, math.sin(cfg.bs.theta) ** 2
+    # port 3 with probability sin^2 (long arm) or cos^2 (short arm): uniforms
+    # drawn in slices of the arrival order are the doubles of one rng.random(n)
+    port3 = np.empty(n, dtype=bool)
+    for start in range(0, n, PORT_BLOCK):
+        o = order[start : start + PORT_BLOCK]
+        r = rng.random(len(o))
+        port3[o] = np.where(long_arm[o], r < s2, r < c2)
+    o = r = None  # a live slice would keep order alive past its del below
 
     if cfg.pol_mode == "parallel" and cfg.pairing == "weighted" and cfg.bs.mode_match > 0 and n > 1:
-        a_idx, b_idx, q = _candidate_pairs(routed, p, cfg.bs, 10.0 / p.gamma_spon)
+        a_idx, b_idx, q = _candidate_pairs(arrival, stream.envelope_delays, long_arm, p, cfg.bs, 10.0 / p.gamma_spon)
+        arrival = None  # re-derived below: the matcher runs with one photon-sized array fewer
+        # the matcher numbers photons by arrival rank, which its survival sums' bits follow
+        rank = np.empty_like(order)
+        rank[order] = np.arange(n)
+        a_idx, b_idx = rank[a_idx], rank[b_idx]
+        del rank
         a_o, b_o, acc = match_pairs(n, a_idx, b_idx, q, rng)
         det = rng.random(len(a_o)) < 0.5  # the common port: 3 if True
-        port3[a_o[acc]] = det[acc]
-        port3[b_o[acc]] = det[acc]
+        port3[order[a_o[acc]]] = det[acc]
+        port3[order[b_o[acc]]] = det[acc]
 
-    # the arrivals are spent: the detection instants take their place
-    u = routed.arrival_times
-    u += routed.envelope_delays
-    del routed  # spent too: the port split fits in freed space, not in a seed-dependent hole
-    # np.compress selects a random half several times faster than u[port3].
-    # u is nearly sorted (delays of a few ns on arrivals ns apart), and the
-    # stable sort (timsort) merges its runs
+    del arrival, order  # the detection instants: route's sum, then the envelope delay
+    u = cfg.delta_t * long_arm
+    u += stream.emission_times
+    u += stream.envelope_delays
+    del long_arm
+    # np.compress selects a random half several times faster than u[port3],
+    # and the stable sort (timsort) merges the runs of each arm's instants
     return {ch: np.sort(np.compress(sel, u), kind="stable") for ch, sel in ((3, port3), (4, ~port3))}

@@ -221,6 +221,14 @@ def test_exit_codes(tmp_path, capsys):
         path.write_text("tau_ns,counts,normalized\n" + "".join("%r,%d,%s\n" % (c, count, v) for c, v in zip(centers, cells)))
         assert main(["analyze", "--par", str(path), "--orth", str(path), "--bin", "1", "--fit-window-ns", "1",
                      "--out", str(tmp_path / "bad")]) == 3
+    # an IRF too wide for the fit's sub-bin grid is refused in analyze's flags
+    good = tmp_path / "good.hist.csv"
+    good.write_text("tau_ns,counts,normalized\n" + "".join("%r,100,1.0\n" % c for c in tau))
+    capsys.readouterr()
+    assert main(["analyze", "--par", str(good), "--orth", str(good), "--bin", "1", "--fit-window-ns", "1",
+                 "--irf-fwhm-ns", "50", "--out", str(tmp_path / "bad")]) == 3
+    err = capsys.readouterr().err
+    assert "--irf-fwhm-ns" in err and "--bin" in err and "--tau-step-ns" not in err
     assert not list(tmp_path.glob("bad*"))
 
 

@@ -1,5 +1,6 @@
 """Flat-text persistence: configs, time tags, histograms, fit results."""
 
+import io
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from homsim import CorrelationHistogram, HomFitResult, INSTANTANEOUS, default_ru
 from homsim.fileio import (
     CONFIG_FIELDS,
     RESULT_KEYS,
+    TAG_BLOCK,
     build_run_config,
     format_config,
     parse_config_text,
@@ -20,6 +22,7 @@ from homsim.fileio import (
     write_config,
     write_histogram,
     write_results,
+    write_table,
     write_timetags,
 )
 
@@ -217,6 +220,20 @@ def test_timetags_roundtrip(tmp_path):
         bad.write_text(text)
         with pytest.raises(ValueError):
             read_timetags(bad)
+
+
+def test_write_table_blocks_equal_one_join(rng):
+    # rows are formatted a block at a time; over two block edges, with a
+    # blank column and values repr spells differently, the bytes are those of
+    # formatting every cell at once
+    n = 2 * TAG_BLOCK + 3
+    floats = rng.normal(0.0, 1e3, n)
+    floats[:4] = [0.1, -0.0, 1e-300, np.nan]
+    columns = [floats, rng.integers(-5, 10**12, n), None]
+    out = io.StringIO()
+    write_table(out, "x,k,blank", columns)
+    cells = [[repr(v) for v in floats.tolist()], [repr(v) for v in columns[1].tolist()], [""] * n]
+    assert out.getvalue() == "x,k,blank\n" + "".join(",".join(row) + "\n" for row in zip(*cells))
 
 
 def test_histogram_roundtrip(tmp_path, rng):

@@ -1,6 +1,7 @@
 """Delay-line routing, pairwise interference law, and stochastic matching."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -17,7 +18,7 @@ from homsim import (
     simulate_emission_stream,
 )
 from homsim import interferometer
-from homsim.interferometer import RoutedStream, _candidate_pairs, match_pairs
+from homsim.interferometer import _candidate_pairs, match_pairs
 
 Q_EXAMPLE = 0.670320046035639301  # exp(-0.4), balanced splitter, M=1
 
@@ -31,30 +32,29 @@ def _itf(**kw):
 
 def test_route_applies_exact_delay(strong_dephasing):
     stream = simulate_emission_stream(strong_dephasing, 3e3, seed=4)
-    routed = route(stream, _itf(), np.random.default_rng(7))
-    assert len(routed) == len(stream)
-    assert np.all(np.diff(routed.arrival_times) >= 0)
+    long_arm, arrival, order = route(stream, _itf(), np.random.default_rng(7))
     # replay the arm draw: each photon's arrival is its emission plus exactly
     # 0 or exactly delta_t (the forward sum, so the float op matches bit for
-    # bit), and its arm and envelope delay travel with it through the sort
-    long_arm = np.random.default_rng(7).random(len(stream)) < 0.5
-    arrival = stream.emission_times + 4.6 * long_arm
-    order = np.argsort(arrival, kind="stable")
-    np.testing.assert_array_equal(routed.arrival_times, arrival[order])
-    np.testing.assert_array_equal(routed.long_arm, long_arm[order])
-    np.testing.assert_array_equal(routed.envelope_delays, stream.envelope_delays[order])
+    # bit), in emission order; order is the stable sort of the arrivals
+    want_long = np.random.default_rng(7).random(len(stream)) < 0.5
+    want = stream.emission_times + 4.6 * want_long
+    np.testing.assert_array_equal(long_arm, want_long)
+    assert arrival.tobytes() == want.tobytes()
+    np.testing.assert_array_equal(order, np.argsort(want, kind="stable"))
+    # the delay line reorders photons: arrival order is not emission order
+    assert not np.array_equal(order, np.arange(len(stream)))
 
 
 def test_route_arm_fraction_and_polarization(strong_dephasing):
     stream = simulate_emission_stream(strong_dephasing, 3e4, seed=9)
     cfg = _itf(arm_prob_long=0.3, pol_mode="orthogonal")
     routed = route(stream, cfg, np.random.default_rng(11))
-    frac = routed.long_arm.mean()
-    assert abs(frac - 0.3) < 3 * math.sqrt(0.3 * 0.7 / len(routed))
+    frac = routed[0].mean()
+    assert abs(frac - 0.3) < 3 * math.sqrt(0.3 * 0.7 / len(stream))
     # polarization decides only whether pairs interfere, never the routing
     par = route(stream, _itf(arm_prob_long=0.3), np.random.default_rng(11))
-    np.testing.assert_array_equal(par.arrival_times, routed.arrival_times)
-    np.testing.assert_array_equal(par.long_arm, routed.long_arm)
+    for got, want in zip(par, routed):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_bunching_probability_frozen_example(balanced_splitter):
@@ -118,39 +118,44 @@ def test_unpaired_port_probabilities():
 def test_candidate_pairs_weights_and_window():
     p = EmitterParams(gamma_spon=1 / 3.4, gamma_pure=0.2, w_p=1.0)
     bs = BeamSplitterConfig(theta=math.pi / 4, mode_match=0.7)
-    routed = RoutedStream(
-        arrival_times=np.array([0.0, 0.1]),
-        long_arm=np.array([False, True]),
-        envelope_delays=np.array([0.5, 0.6]),
-    )
-    a, b, q = _candidate_pairs(routed, p, bs, window=5.0)
+    long_arm = np.array([False, True])
+    delays = np.array([0.5, 0.6])
+    a, b, q = _candidate_pairs(np.array([0.0, 0.1]), delays, long_arm, p, bs, window=5.0)
     assert (a.tolist(), b.tolist()) == ([1], [0])
     assert q[0] == pytest.approx(0.7 * math.exp(-2 * 0.2 * 0.2), rel=1e-12)
 
     # arrival separation beyond the pairing window: no candidates
-    far = RoutedStream(
-        arrival_times=np.array([0.0, 100.0]),
-        long_arm=np.array([False, True]),
-        envelope_delays=np.array([0.5, 0.6]),
-    )
-    a, b, q = _candidate_pairs(far, p, bs, window=5.0)
+    a, b, q = _candidate_pairs(np.array([0.0, 100.0]), delays, long_arm, p, bs, window=5.0)
     assert len(q) == 0
 
     # second wave packet starts only after the first detection: zero overlap
-    stale = RoutedStream(
-        arrival_times=np.array([0.0, 5.0]),
-        long_arm=np.array([False, True]),
-        envelope_delays=np.array([1.0, 1.0]),
-    )
-    a, b, q = _candidate_pairs(stale, p, bs, window=10.0)
+    a, b, q = _candidate_pairs(np.array([0.0, 5.0]), np.array([1.0, 1.0]), long_arm, p, bs, window=10.0)
     assert len(q) == 0
 
     # every photon in one arm (arm_prob_long 0 or 1): typed empty arrays
-    for long_arm in (False, True):
-        one_arm = RoutedStream(np.arange(5.0), np.full(5, long_arm), np.full(5, 0.5))
-        a, b, q = _candidate_pairs(one_arm, p, bs, window=10.0)
+    for arm in (False, True):
+        a, b, q = _candidate_pairs(np.arange(5.0), np.full(5, 0.5), np.full(5, arm), p, bs, window=10.0)
         assert (len(a), len(b), len(q)) == (0, 0, 0)
         assert (a.dtype, b.dtype, q.dtype) == (np.int64, np.int64, np.float64)
+
+
+def test_candidate_pairs_emission_order_equals_arrival_order(molecule):
+    # the long arm's delay interleaves the arms, so arrival rank is not the
+    # emission index; the pairs found in emission order, renumbered by rank,
+    # are those found in arrival order, in the same sequence
+    stream = simulate_emission_stream(molecule, 2e4, seed=6)
+    long_arm, arrival, order = route(stream, _itf(), np.random.default_rng(2))
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    assert not np.array_equal(rank, np.arange(len(rank)))
+    bs = BeamSplitterConfig(theta=math.pi / 4, mode_match=0.7)
+    a, b, q = _candidate_pairs(arrival, stream.envelope_delays, long_arm, molecule, bs, 34.0, chunk=1000)
+    want = _candidate_pairs(arrival[order], stream.envelope_delays[order], long_arm[order], molecule, bs, 34.0,
+                            chunk=1000)
+    assert len(q) > 100
+    np.testing.assert_array_equal(rank[a], want[0])
+    np.testing.assert_array_equal(rank[b], want[1])
+    assert q.tobytes() == want[2].tobytes()
 
 
 def test_match_pairs_unconditional_rates():
@@ -212,6 +217,26 @@ def test_interfere_stream_conserves_and_reproduces(strong_dephasing):
         np.testing.assert_array_equal(out1[4], out2[4])
 
 
+@pytest.mark.parametrize("pol_mode,bound", [("orthogonal", 3.0), ("parallel", 11.7)])
+def test_interfere_stream_peak_memory(molecule, pol_mode, bound):
+    # photon-sized arrays stay in emission order and the port uniforms are
+    # drawn a slice at a time: 2.75 photon-sized arrays above entry, where a
+    # sorted copy of the stream and one float uniform per photon peaked at
+    # 3.50.  The parallel peak is the matcher's (10.68 at this seed); the
+    # bound is its value with the sorted copy, 11.68.
+    cfg = _itf(bs=BeamSplitterConfig(theta=math.pi / 4, mode_match=0.7), pol_mode=pol_mode)
+    interfere_stream(simulate_emission_stream(molecule, 1e3, seed=1), cfg, molecule, np.random.default_rng(1))
+    stream = simulate_emission_stream(molecule, 1e6, seed=3)
+    tracemalloc.start()
+    try:
+        interfere_stream(stream, cfg, molecule, np.random.default_rng(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(stream) > 100_000
+    assert peak <= bound * stream.emission_times.nbytes
+
+
 def test_no_interference_paths_agree(strong_dephasing):
     # orthogonal polarization, M=0 and pairing "none" all skip the pairing
     # stage and must consume identical random draws
@@ -241,4 +266,4 @@ def test_interferometer_config_validation(balanced_splitter):
     p = EmitterParams(gamma_spon=2.0, gamma_pure=0.0, w_p=1.0)
     with mock.patch.object(interferometer, "_candidate_pairs", wraps=_candidate_pairs) as search:
         interfere_stream(simulate_emission_stream(p, 100.0, seed=1), _itf(), p, np.random.default_rng(1))
-    assert search.call_args.args[3] == 5.0
+    assert search.call_args.args[5] == 5.0

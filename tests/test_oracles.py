@@ -1,9 +1,9 @@
 """The vectorised matcher, TAC, dead time and tag writer against the loops
 they replaced, the window-pair expansion against a double loop, the
 overlap-bounded pair search against the full window expansion, the stream
-stages (emission, port split, detector chain) against the copying and
-re-sorting versions they replaced, and the fit's build-once forward model
-against the model it replaced.
+stages (emission, routing and port split, detector chain) against the
+copying and re-sorting versions they replaced, and the fit's build-once
+forward model against the model it replaced.
 
 Each oracle below is the earlier implementation, kept verbatim in its
 logic.  The new code must give the same accepted mask, the same histogram
@@ -32,7 +32,6 @@ from homsim.histogram import make_bin_edges, window_pairs
 from homsim.interferometer import (
     Q_MIN,
     InterferometerConfig,
-    RoutedStream,
     _candidate_pairs,
     bunching_probability,
     interfere_stream,
@@ -79,11 +78,10 @@ def _match_pairs_loop(n_photons, a_idx, b_idx, q, rng):
     return a_o, b_o, accepted
 
 
-def _candidate_pairs_window(routed, p, bs, window, chunk=50_000):
-    arrival = routed.arrival_times
-    u = arrival + routed.envelope_delays
-    idx_long = np.flatnonzero(routed.long_arm)
-    idx_short = np.flatnonzero(~routed.long_arm)
+def _candidate_pairs_window(arrival, envelope_delays, long_arm, p, bs, window, chunk=50_000):
+    u = arrival + envelope_delays
+    idx_long = np.flatnonzero(long_arm)
+    idx_short = np.flatnonzero(~long_arm)
     arr_short = arrival[idx_short]
     out_a, out_b, out_q = [], [], []
     for start in range(0, len(idx_long), chunk):
@@ -230,16 +228,22 @@ def _emission_concat(p, duration, seed):
 
 
 def _interfere_stream_int8(stream, cfg, p, rng):
-    # an int8 port per photon through a nested np.where, default-kind sorts
-    routed = route(stream, cfg, rng)
-    n = len(routed)
-    u = routed.arrival_times + routed.envelope_delays
+    # the routed stream gathered into arrival order (an argsort and three
+    # gathers), one uniform per photon in one draw, an int8 port per photon
+    # through a nested np.where, the window-expansion pair search and
+    # default-kind sorts
+    long_arm = rng.random(len(stream)) < cfg.arm_prob_long
+    arrival = stream.emission_times + cfg.delta_t * long_arm
+    order = np.argsort(arrival, kind="stable")
+    arrival, long_arm, env = arrival[order], long_arm[order], stream.envelope_delays[order]
+    n = len(arrival)
+    u = arrival + env
     c2 = math.cos(cfg.bs.theta) ** 2
     s2 = math.sin(cfg.bs.theta) ** 2
     r = rng.random(n)
-    ch = np.where(np.where(routed.long_arm, r < s2, r < c2), np.int8(3), np.int8(4))
+    ch = np.where(np.where(long_arm, r < s2, r < c2), np.int8(3), np.int8(4))
     if cfg.pol_mode == "parallel" and cfg.pairing == "weighted" and cfg.bs.mode_match > 0 and n > 1:
-        a_idx, b_idx, q = _candidate_pairs(routed, p, cfg.bs, 10.0 / p.gamma_spon)
+        a_idx, b_idx, q = _candidate_pairs_window(arrival, env, long_arm, p, cfg.bs, 10.0 / p.gamma_spon)
         a_o, b_o, acc = match_pairs(n, a_idx, b_idx, q, rng)
         det = np.where(rng.random(len(a_o)) < 0.5, 3, 4).astype(np.int8)
         ch[a_o[acc]] = det[acc]
@@ -370,8 +374,8 @@ def test_match_pairs_tied_q(values):
 
 
 def _assert_same_candidates(routed, p, bs, window, chunk=50_000):
-    got = _candidate_pairs(routed, p, bs, window, chunk=chunk)
-    want = _candidate_pairs_window(routed, p, bs, window, chunk=chunk)
+    got = _candidate_pairs(*routed, p, bs, window, chunk=chunk)
+    want = _candidate_pairs_window(*routed, p, bs, window, chunk=chunk)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype
         np.testing.assert_array_equal(g, w)
@@ -380,16 +384,19 @@ def _assert_same_candidates(routed, p, bs, window, chunk=50_000):
 
 @st.composite
 def routed_streams(draw):
-    """Sorted arrivals (ties, and lattices at large offsets), arms mixed or
-    all one side, and envelope delays that are zero, generic, on the
-    arrival lattice or longer than any window drawn."""
-    arrival = draw(sorted_times())
-    n = len(arrival)
+    """(arrival, envelope delays, long_arm) in emission order: sorted
+    emission times (ties, and lattices at large offsets) plus a long-arm
+    delay that is zero or interleaves the arms, arms mixed or all one side,
+    and envelope delays that are zero, generic, on the arrival lattice or
+    longer than any window drawn."""
+    emission = draw(sorted_times())
+    n = len(emission)
     arms = draw(st.sampled_from(["mixed", "long", "short"]))
     if arms == "mixed":
         long_arm = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
     else:
         long_arm = np.full(n, arms == "long")
+    arrival = emission + draw(st.sampled_from([0.0, 0.5, 4.6])) * long_arm
     delays = draw(st.sampled_from(["zero", "generic", "lattice", "long"]))
     if delays == "zero":
         env = np.zeros(n)
@@ -399,7 +406,7 @@ def routed_streams(draw):
         env = 0.5 * np.array(draw(st.lists(st.integers(0, 80), min_size=n, max_size=n)), dtype=float)
     else:
         env = np.array(draw(st.lists(st.floats(40.0, 200.0), min_size=n, max_size=n)))
-    return RoutedStream(arrival, long_arm, env)
+    return arrival, env, long_arm
 
 
 @SETTINGS
@@ -418,8 +425,9 @@ def test_candidate_pairs_equals_window_expansion(routed, gamma_pure, mode_match,
 def test_candidate_pairs_equals_window_expansion_on_a_run():
     rc = default_run_config()
     stream = simulate_emission_stream(rc.emitter, 2e5, 4)
-    routed = route(stream, rc.interferometer, np.random.default_rng(4))
+    long_arm, arrival, _ = route(stream, rc.interferometer, np.random.default_rng(4))
     window = 10.0 / rc.emitter.gamma_spon
+    routed = arrival, stream.envelope_delays, long_arm
     assert _assert_same_candidates(routed, rc.emitter, rc.interferometer.bs, window) > 10_000
 
 
