@@ -113,7 +113,7 @@ def window_pairs(lo, hi):
     return i, j
 
 
-def pairwise_delay_counts(ts_a, ts_b, edges, chunk=100_000):
+def pairwise_delay_counts(ts_a, ts_b, edges, chunk=50_000):
     """Counts of t_b - t_a over all pairs, binned by edges.  Both arrays must
     be sorted ascending; work is chunked to bound memory."""
     ts_a = np.asarray(ts_a, dtype=float)

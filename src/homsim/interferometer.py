@@ -24,7 +24,7 @@ from .histogram import window_pairs
 
 # pairs whose bunching probability falls below this are never candidates
 Q_MIN = 1e-12
-PORT_BLOCK = 1 << 16  # photons per slice of the port draw
+PORT_BLOCK = 1 << 16  # photons per slice of the port draw, entries per block of the survival sums
 
 
 @dataclass(frozen=True)
@@ -104,39 +104,12 @@ def match_pairs(n_photons, a_idx, b_idx, q, rng):
         order[pos] = order[pos][np.lexsort((order[pos], run))]
         q_o[pos] = q[order[pos]]
     a_o, b_o = a_idx[order], b_idx[order]
+    del order
     m = len(q_o)
     if m == 0:
         return a_o, b_o, np.zeros(0, dtype=bool)
 
-    # survival prefix sums: for each pair, the q-mass its photons spent on
-    # earlier-processed pairs.  Entry k is photon a_o[k] of pair k and entry
-    # m + k photon b_o[k]; sorting the key photon * m + k groups the entries
-    # by photon in processing order.  Keys repeat only for a self-pair, whose
-    # two entries then share a photon, a position and q, so either order
-    # gives the same s_a * s_b.
-    k = np.arange(m)
-    key = np.concatenate([a_o, b_o], dtype=np.int64)
-    key *= m
-    key[:m] += k
-    key[m:] += k
-    so = np.argsort(key)
-    ph_s = key[so]
-    ph_s //= m
-    q_s = q_o[so % m]
-    del key, k
-    cs = np.cumsum(q_s)
-    grp = np.flatnonzero(np.r_[True, ph_s[1:] != ph_s[:-1]])
-    base = np.repeat(cs[grp] - q_s[grp], np.diff(np.r_[grp, len(ph_s)]))
-    # 1 - (cs - q_s - base) in place: the same operations, no temporaries
-    cs -= q_s
-    cs -= base
-    del ph_s, q_s, grp, base
-    surv = np.empty(2 * m)
-    surv[so] = np.subtract(1.0, cs, out=cs)
-    s_a = surv[:m]
-    s_b = surv[m:]
-
-    p_fire = np.clip(q_o / np.maximum(s_a * s_b, Q_MIN), 0.0, 1.0)
+    p_fire = np.clip(q_o / np.maximum(_survival_products(a_o, b_o, q_o), Q_MIN), 0.0, 1.0)
     fired = rng.random(m) < p_fire
 
     accepted = np.zeros(m, dtype=bool)
@@ -159,6 +132,43 @@ def match_pairs(n_photons, a_idx, b_idx, q, rng):
     return a_o, b_o, accepted
 
 
+def _survival_products(a_o, b_o, q_o):
+    """s_a * s_b of each of m > 0 pairs in processing order: the survival of
+    each photon is 1 minus the q-mass it spent on earlier-processed pairs.
+
+    Entry k is photon a_o[k] of pair k and entry m + k photon b_o[k]; sorting
+    the key photon * m + k groups the entries by photon in processing order.
+    Keys repeat only for a self-pair, whose two entries then share a photon,
+    a position and q, so either order gives the same product.  The spent mass
+    is one cumsum over that sequence minus its value before the group's
+    first entry, located by integer index (a running maximum of the float
+    cs - q can step down by an ulp where q is below an ulp of the sum).  At
+    most three 2m-sized buffers are alive at once.
+    """
+    m = len(q_o)
+    key = np.concatenate([a_o, b_o], dtype=np.int64)
+    key *= m
+    key.reshape(2, m)[:] += np.arange(m)
+    so = np.argsort(key)
+    key = key[so]
+    key //= m  # the photon of each sorted entry; then, in place, its group's first position
+    np.multiply(np.arange(2 * m), np.r_[True, key[1:] != key[:-1]], out=key)
+    np.maximum.accumulate(key, out=key)
+    cs = np.take(q_o, so, mode="wrap")  # q_o[so % m] without the index temporary
+    np.cumsum(cs, out=cs)
+    # cs - q, then minus its value at the group start: the second pass runs
+    # from the end, so each group start is read before it is changed
+    blocks = range(0, 2 * m, PORT_BLOCK)
+    for s in blocks:
+        cs[s : s + PORT_BLOCK] -= np.take(q_o, so[s : s + PORT_BLOCK], mode="wrap")
+    for s in reversed(blocks):
+        cs[s : s + PORT_BLOCK] -= cs[key[s : s + PORT_BLOCK]]
+    del key
+    surv = np.empty(2 * m)
+    surv[so] = np.subtract(1.0, cs, out=cs)
+    return surv[:m] * surv[m:]
+
+
 def _candidate_pairs(arrival, envelope_delays, long_arm, p, bs, window, chunk=50_000):
     """All opposite-arm pairs within the arrival window whose bunching
     probability is non-negligible.  Returns (a_idx, b_idx, q).
@@ -173,11 +183,12 @@ def _candidate_pairs(arrival, envelope_delays, long_arm, p, bs, window, chunk=50
     window pairs overlaps at the experiment point, so a chunk's expansion is
     small next to the stream and the matcher.
     """
-    u = arrival + envelope_delays
     idx_long = np.flatnonzero(long_arm)
     idx_short = np.flatnonzero(~long_arm)
     arr_short = arrival[idx_short]
-    reach_short = np.maximum.accumulate(u[idx_short])
+    # each instant is arrival[x] + envelope_delays[x], taken where it is used
+    reach_short = arr_short + envelope_delays[idx_short]
+    np.maximum.accumulate(reach_short, out=reach_short)
 
     out_a, out_b, out_q = [], [], []
     for start in range(0, len(idx_long), chunk):
@@ -185,14 +196,18 @@ def _candidate_pairs(arrival, envelope_delays, long_arm, p, bs, window, chunk=50
         arr_l = arrival[il]
         lo = np.maximum(np.searchsorted(arr_short, arr_l - window, side="left"),
                         np.searchsorted(reach_short, arr_l, side="left"))
-        hi = np.searchsorted(arr_short, np.minimum(arr_l + window, u[il]), side="right")
+        # rounding is monotone, so this bound is min(arr_l + window, instant) bit for bit
+        hi = np.searchsorted(arr_short, arr_l + np.minimum(envelope_delays[il], window), side="right")
         a, b = window_pairs(lo, np.maximum(hi, lo))  # positions in il and idx_short
         a, b = il[a], idx_short[b]
-        q = bunching_probability(u[a], u[b], arrival[a], arrival[b], p.gamma_pure, bs)
+        arr_a, arr_b = arrival[a], arrival[b]
+        q = bunching_probability(arr_a + envelope_delays[a], arr_b + envelope_delays[b], arr_a, arr_b,
+                                 p.gamma_pure, bs)
         keep = q > Q_MIN
         out_a.append(a[keep])
         out_b.append(b[keep])
         out_q.append(q[keep])
+    del idx_long, idx_short, arr_short, reach_short
     if not out_a:
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty.copy(), np.zeros(0)

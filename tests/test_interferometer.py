@@ -217,13 +217,15 @@ def test_interfere_stream_conserves_and_reproduces(strong_dephasing):
         np.testing.assert_array_equal(out1[4], out2[4])
 
 
-@pytest.mark.parametrize("pol_mode,bound", [("orthogonal", 3.0), ("parallel", 11.7)])
+@pytest.mark.parametrize("pol_mode,bound", [("orthogonal", 3.0), ("parallel", 8.5)])
 def test_interfere_stream_peak_memory(molecule, pol_mode, bound):
     # photon-sized arrays stay in emission order and the port uniforms are
     # drawn a slice at a time: 2.75 photon-sized arrays above entry, where a
     # sorted copy of the stream and one float uniform per photon peaked at
-    # 3.50.  The parallel peak is the matcher's (10.68 at this seed); the
-    # bound is its value with the sorted copy, 11.68.
+    # 3.50.  The parallel peak (7.13 at this seed) is the pair search's and
+    # the matcher's; it was 10.72 with a photon-sized array of detection
+    # instants in the pair search and a new 2m-sized buffer for each step of
+    # the matcher's survival sums.
     cfg = _itf(bs=BeamSplitterConfig(theta=math.pi / 4, mode_match=0.7), pol_mode=pol_mode)
     interfere_stream(simulate_emission_stream(molecule, 1e3, seed=1), cfg, molecule, np.random.default_rng(1))
     stream = simulate_emission_stream(molecule, 1e6, seed=3)
@@ -235,6 +237,26 @@ def test_interfere_stream_peak_memory(molecule, pol_mode, bound):
         tracemalloc.stop()
     assert len(stream) > 100_000
     assert peak <= bound * stream.emission_times.nbytes
+
+
+def test_match_pairs_peak_memory(molecule):
+    # the survival sums hold at most three 2m-sized buffers: 10.0 pair-sized
+    # arrays (8 m bytes) above entry at this seed, against 18.6 when the
+    # sorted photons, the gathered q, the cumsum, the group bases and the
+    # survival values each had their own buffer
+    cfg = _itf(bs=BeamSplitterConfig(theta=math.pi / 4, mode_match=0.7))
+    stream = simulate_emission_stream(molecule, 1e6, seed=3)
+    with mock.patch.object(interferometer, "match_pairs", wraps=match_pairs) as spy:
+        interfere_stream(stream, cfg, molecule, np.random.default_rng(3))
+    n, a_idx, b_idx, q, _ = spy.call_args.args
+    tracemalloc.start()
+    try:
+        match_pairs(n, a_idx, b_idx, q, np.random.default_rng(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(q) > 50_000
+    assert peak <= 14 * q.nbytes
 
 
 def test_no_interference_paths_agree(strong_dephasing):

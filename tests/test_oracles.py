@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homsim import analysis, emitter, fileio
+from homsim import analysis, emitter, fileio, interferometer
 from homsim.coherence import FWHM_TO_SIGMA, BeamSplitterConfig, EmitterParams, convolve_irf, g2_source
 from homsim.detection import CHANNELS, DetectionConfig, _dead_time_filter, apply_detector, normalize, tac_mca_histogram
 from homsim.emitter import PhotonStream, simulate_emission_stream
@@ -52,6 +52,21 @@ def _match_pairs_loop(n_photons, a_idx, b_idx, q, rng):
     m = len(q_o)
     if m == 0:
         return a_o, b_o, np.zeros(0, dtype=bool)
+    p_fire = np.clip(q_o / np.maximum(_survival_products_loop(a_o, b_o, q_o), Q_MIN), 0.0, 1.0)
+    fired = rng.random(m) < p_fire
+    used = np.zeros(n_photons, dtype=bool)
+    accepted = np.zeros(m, dtype=bool)
+    for k in np.flatnonzero(fired):
+        x, y = a_o[k], b_o[k]
+        if used[x] or used[y]:
+            continue
+        used[x] = used[y] = True
+        accepted[k] = True
+    return a_o, b_o, accepted
+
+
+def _survival_products_loop(a_o, b_o, q_o):
+    m = len(q_o)
     flat_ph = np.concatenate([a_o, b_o])
     flat_pos = np.concatenate([np.arange(m), np.arange(m)])
     flat_q = np.concatenate([q_o, q_o])
@@ -63,19 +78,7 @@ def _match_pairs_loop(n_photons, a_idx, b_idx, q, rng):
     surv = 1.0 - (cs - q_s - base)
     inv = np.empty(len(so), dtype=np.int64)
     inv[so] = np.arange(len(so))
-    s_a = surv[inv[:m]]
-    s_b = surv[inv[m:]]
-    p_fire = np.clip(q_o / np.maximum(s_a * s_b, Q_MIN), 0.0, 1.0)
-    fired = rng.random(m) < p_fire
-    used = np.zeros(n_photons, dtype=bool)
-    accepted = np.zeros(m, dtype=bool)
-    for k in np.flatnonzero(fired):
-        x, y = a_o[k], b_o[k]
-        if used[x] or used[y]:
-            continue
-        used[x] = used[y] = True
-        accepted[k] = True
-    return a_o, b_o, accepted
+    return surv[inv[:m]] * surv[inv[m:]]
 
 
 def _candidate_pairs_window(arrival, envelope_delays, long_arm, p, bs, window, chunk=50_000):
@@ -368,6 +371,36 @@ def test_match_pairs_tied_q(values):
     assert np.isin(a_idx, b_idx).any()  # photons on both sides
     assert not np.array_equal(np.argsort(-q), np.argsort(-q, kind="stable"))
     _assert_same_matching(n, a_idx, b_idx, q, 13)
+
+
+def test_survival_products_exact_below_an_ulp():
+    # one entry per photon (pair k joins photons 2k and 2k + 1), so every
+    # photon has spent nothing and each product is exactly 1.  Half of q lies
+    # below an ulp of the running sum, where the float cs - q can step down
+    # by an ulp from one entry to the next: a base taken as a running maximum
+    # of it, instead of at the group start by index, then leaves a residue
+    # (at 2 of these 40 seeds).
+    m = 100_000
+    k = np.arange(m)
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        q = rng.permutation(np.r_[rng.uniform(0.5, 1.0, m // 2), 10.0 ** rng.uniform(-12.0, -9.0, m - m // 2)])
+        got = interferometer._survival_products(2 * k, 2 * k + 1, q)
+        np.testing.assert_array_equal(got, _survival_products_loop(2 * k, 2 * k + 1, q), err_msg="seed %d" % seed)
+        assert np.all(got == 1.0), seed
+
+
+def test_survival_products_groups_across_blocks():
+    # 2m entries span several blocks of the in-place base subtraction, and
+    # each photon's group crosses block edges: a pass that ran from the start
+    # would read group starts it had already changed
+    rng = np.random.default_rng(5)
+    m = 100_000
+    a_o, b_o = rng.integers(0, 3000, m), rng.integers(0, 3000, m)
+    q = np.where(rng.random(m) < 0.5, rng.uniform(0.0, 1e-3, m), 10.0 ** rng.uniform(-12.0, -9.0, m))
+    assert 2 * m > 2 * interferometer.PORT_BLOCK
+    got = interferometer._survival_products(a_o, b_o, q)
+    np.testing.assert_array_equal(got, _survival_products_loop(a_o, b_o, q))
 
 
 # --- candidate pairs --------------------------------------------------------
