@@ -45,7 +45,6 @@ def build_parser():
     ps.add_argument("--config", default=None, help="flat key=value config file")
     ps.add_argument("--seed", type=int, default=None)
     ps.add_argument("--duration-ns", dest="duration", type=float, default=None)
-    ps.add_argument("--replicas", type=int, default=None)
     ps.add_argument("--pol", dest="pol_mode", choices=("parallel", "orthogonal"), default=None)
     ps.add_argument("--theta", type=float, default=None)
     ps.add_argument("--delta-t-ns", dest="delta_t", type=float, default=None)

@@ -75,7 +75,10 @@ class BeamSplitterConfig:
 
     @property
     def interference_weight(self):
-        """sin^2 cos^2 / (cos^4 + sin^4), the HOM term weight at this angle."""
+        """w = sin^2 cos^2 / (cos^4 + sin^4), the scale of the Monte Carlo's
+        bunching probability q = 2 w M exp(-2 gamma_pure |u_a - u_b|).  Only
+        pairs drawn to opposite ports (cos^4 + sin^4) lose a coincidence, so
+        g2_34's interference term is 2 sin^2 cos^2 M g1^2."""
         c2 = math.cos(self.theta) ** 2
         s2 = math.sin(self.theta) ** 2
         return s2 * c2 / (c2 * c2 + s2 * s2)
@@ -102,12 +105,20 @@ def g2_34(tau, p: EmitterParams, bs: BeamSplitterConfig, pol: str):
     Valid when the arm delay is long against all correlation times, so the
     two interfering photons are consecutive and uncorrelated with the rest.
     pol is "parallel" (interfering) or "orthogonal" (marker polarizations).
+    With c = cos(theta), s = sin(theta) and w = 2 s^2 c^2, photon pairs that
+    took the same arm give w g2_source(tau), pairs that took opposite arms
+    (delta_t apart at the source) give c^4 + s^4, and interference removes
+    w M g1(tau)^2.  For a balanced splitter w and c^4 + s^4 are both exactly
+    0.5.
     """
-    base = 0.5 * (g2_source(tau, p) + 1.0)
+    c2 = math.cos(bs.theta) ** 2
+    s2 = math.sin(bs.theta) ** 2
+    w = 2.0 * s2 * c2
+    base = w * g2_source(tau, p) + (c2 * c2 + s2 * s2)
     if pol == "orthogonal":
         return base
     if pol == "parallel":
-        return base - bs.interference_weight * bs.mode_match * g1(tau, p) ** 2
+        return base - w * bs.mode_match * g1(tau, p) ** 2
     raise ValueError("pol must be 'parallel' or 'orthogonal'")
 
 

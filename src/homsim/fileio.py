@@ -43,7 +43,6 @@ CONFIG_FIELDS = {
     "correlation_mode": ("detection.correlation_mode", None),
     "duration": ("duration", None),
     "seed": ("seed", None),
-    "replicas": ("replicas", None),
     "norm_lo": ("norm_region.0", None),
     "norm_hi": ("norm_region.1", None),
 }

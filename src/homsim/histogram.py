@@ -68,15 +68,6 @@ class CorrelationHistogram:
             self.bin_edges, other.bin_edges, rtol=0, atol=1e-9
         )
 
-    def merge(self, other):
-        """Add counts from a replica histogram with identical geometry.
-
-        Normalization state is discarded; renormalize the merged result.
-        """
-        if not self.same_geometry(other):
-            raise ValueError("histogram geometries differ")
-        return CorrelationHistogram(self.bin_edges.copy(), self.counts + other.counts)
-
     def copy(self):
         return replace(
             self,

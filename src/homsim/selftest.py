@@ -55,7 +55,7 @@ def _analytic_checks(rep: _Report):
     par = coherence.g2_34(tau, p, bs, "parallel")
     orth = coherence.g2_34(tau, p, bs, "orthogonal")
     gap = orth - par
-    want = bs.interference_weight * bs.mode_match * coherence.g1(tau, p) ** 2
+    want = 0.5 * bs.mode_match * coherence.g1(tau, p) ** 2  # 2 sin^2 cos^2 = 0.5 at pi/4
     rep.check("orth-par gap", np.all(gap >= 0) and np.max(np.abs(gap - want)) < 1e-14)
     rep.check(
         "overlap equals g1 squared",

@@ -10,7 +10,8 @@ import pytest
 
 import homsim
 from homsim.cli import MAX_TAU_STEPS, main
-from homsim.fileio import read_config, read_histogram
+from homsim.detection import tac_mca_histogram
+from homsim.fileio import read_config, read_histogram, read_timetags
 
 G2_PAR_A_AT_02 = 0.628408866133492004
 G2_ORTH_A_AT_02 = 0.751707348104295243
@@ -97,16 +98,22 @@ def test_simulate_flag_overrides_config(tmp_path):
     assert rc.interferometer.pol_mode == "orthogonal"
 
 
-def test_simulate_replicas_merge(tmp_path):
-    assert main(["simulate", "--seed", "3", "--duration-ns", "20000", "--replicas", "2",
-                 "--out", str(tmp_path / "r")]) == 0
-    h2 = read_histogram(tmp_path / "r.hist.csv")
-    totals = 0
-    for k, seed in ((0, 3), (1, 4)):
-        assert main(["simulate", "--seed", str(seed), "--duration-ns", "20000",
-                     "--out", str(tmp_path / ("s%d" % k))]) == 0
-        totals += read_histogram(tmp_path / ("s%d.hist.csv" % k)).total_counts
-    assert h2.total_counts == totals
+TAC_CONFIG = ("pol_mode = orthogonal\ncorrelation_mode = tac\nefficiency_3 = 0.3\nefficiency_4 = 0.3\n"
+              "dead_time_3 = 22.0\ndead_time_4 = 22.0\n")
+
+
+@pytest.mark.parametrize("config, flags", [("", ["--pol", "parallel", "--duration-ns", "200000"]),
+                                           (TAC_CONFIG, ["--duration-ns", "500000"])], ids=["parallel-full", "tac"])
+def test_simulate_tags_recorrelate_to_histogram(tmp_path, config, flags):
+    # the tags a run writes are the timeline its histogram was built from
+    cfg = tmp_path / "run.config.txt"
+    cfg.write_text(config)
+    assert main(["simulate", "--config", str(cfg), "--seed", "3", *flags, "--out", str(tmp_path / "r")]) == 0
+    rc = read_config(tmp_path / "r.config.txt")
+    tags = read_timetags(tmp_path / "r.tags.csv")
+    hist = read_histogram(tmp_path / "r.hist.csv")
+    assert hist.total_counts > 0
+    assert np.array_equal(tac_mca_histogram(tags, rc.detection).counts, hist.counts)
 
 
 def test_analyze_pipeline(tmp_path, capsys):
@@ -179,8 +186,9 @@ def test_exit_codes(tmp_path, capsys):
                         ("--config", str(greedy)), ("--config", str(norm))):
         assert main(["simulate", flag, value, "--out", str(tmp_path / "bad")]) == 3
     # removed keys (the pair search window and the stop delay are worked out
-    # from the emitter and the MCA range) are unknown keys, named with their line
-    for key, value in (("pairing_window", "auto"), ("electronic_delay", "0.0")):
+    # from the emitter and the MCA range; a run is one timeline, so it has no
+    # replicas) are unknown keys, named with their line
+    for key, value in (("pairing_window", "auto"), ("electronic_delay", "0.0"), ("replicas", "1")):
         removed = tmp_path / ("%s.config.txt" % key)
         removed.write_text("duration = 20000.0\n%s = %s\n" % (key, value))
         capsys.readouterr()
@@ -207,6 +215,7 @@ def test_exit_codes(tmp_path, capsys):
     assert "--tau-max-ns" in err and "--tau-step-ns" in err
     # the curves are the long-delay limit, so analytic takes no delay
     assert main(["analytic", "--delta-t-ns", "2", "--out", str(tmp_path / "bad.csv")]) == 2
+    assert main(["simulate", "--replicas", "2", "--out", str(tmp_path / "bad")]) == 2
     assert not list(tmp_path.glob("bad*"))
     # a normalized column with no counts to recover its constant from, a
     # row missing outside the fit window, and blank or nan cells among the

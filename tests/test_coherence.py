@@ -5,6 +5,7 @@ the closed forms and pasted here, so a regression in the module cannot hide
 behind shared code.  Emitter A is the strong-dephasing operating point
 (gamma_spon=1, gamma_pure=3, w_p=2.5 with a balanced splitter, M=1);
 emitter B is the molecule-like one (gamma_spon=1/3.4, gamma_pure=0.2).
+Off a balanced splitter the Monte Carlo is the oracle for g2_34.
 """
 
 import math
@@ -16,12 +17,17 @@ import pytest
 from homsim import (
     INSTANTANEOUS,
     BeamSplitterConfig,
+    DetectionConfig,
     EmitterParams,
+    InterferometerConfig,
+    RunConfig,
     convolve_irf,
     g1,
     g2_34,
     g2_source,
+    normalize,
     overlap_sq,
+    run_replicas,
     visibility,
 )
 from homsim import coherence
@@ -113,14 +119,40 @@ def test_g2_34_frozen_values(strong_dephasing, balanced_splitter):
 
 
 def test_g2_34_gap_identity(strong_dephasing, rng):
-    # orthogonal minus parallel is the interference term weight*M*g1^2
+    # orthogonal minus parallel is the interference term 2 s^2 c^2 M g1^2
     bs = BeamSplitterConfig(theta=0.6, mode_match=0.8)
     tau = rng.uniform(-3, 3, 200)
     par = g2_34(tau, strong_dephasing, bs, "parallel")
     orth = g2_34(tau, strong_dephasing, bs, "orthogonal")
-    gap = bs.interference_weight * bs.mode_match * g1(tau, strong_dephasing) ** 2
+    s2, c2 = math.sin(0.6) ** 2, math.cos(0.6) ** 2
+    gap = 2 * s2 * c2 * bs.mode_match * g1(tau, strong_dephasing) ** 2
     np.testing.assert_allclose(orth - par, gap, atol=1e-14)
     assert np.all(par <= orth + 1e-15)
+    # far from zero delay both curves are 2 s^2 c^2 + c^4 + s^4 = 1
+    for pol in ("parallel", "orthogonal"):
+        np.testing.assert_allclose(g2_34(40.0, strong_dephasing, bs, pol), 1.0, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.2])
+def test_g2_34_matches_monte_carlo_off_balance(strong_dephasing, theta):
+    # the criterion-3 set-up on an unbalanced splitter, both polarizations
+    # and two mode matches: the bins within half a lifetime of zero delay
+    det = DetectionConfig(irf_fwhm_pair=0.0, background_fraction=0.0, correlation_mode="full",
+                          mca_range=(-14.0, 14.0), bin_width=0.025)
+    for mode_match in (0.6, 1.0):
+        bs = BeamSplitterConfig(theta=theta, mode_match=mode_match)
+        for pol, seed in (("parallel", 11), ("orthogonal", 12)):
+            rc = RunConfig(
+                emitter=strong_dephasing,
+                interferometer=InterferometerConfig(delta_t=4.6, bs=bs, pol_mode=pol),
+                detection=det, duration=4e5, seed=seed, norm_region=(9.0, 13.9),
+            )
+            hist = normalize(run_replicas(rc)[1], rc.norm_region)
+            sel = np.abs(hist.bin_centers) <= 0.5
+            model = g2_34(hist.bin_centers[sel], strong_dephasing, bs, pol)
+            z = (hist.normalized[sel] - model) * hist.normalization_constant / np.sqrt(np.maximum(hist.counts[sel], 1))
+            assert np.mean(np.abs(z) < 3) >= 0.95, (mode_match, pol)
+            assert abs(z.sum()) / math.sqrt(len(z)) < 4, (mode_match, pol)
 
 
 def test_g2_34_collapses_without_interference(strong_dephasing):

@@ -47,17 +47,6 @@ def test_histogram_container_validation():
     assert h.total_counts == 10
 
 
-def test_histogram_merge():
-    edges = make_bin_edges(0.0, 2.0, 0.5)
-    a = Hist(edges, np.array([1, 2, 3, 4]))
-    b = Hist(edges, np.array([10, 0, 0, 1]))
-    m = a.merge(b)
-    assert np.array_equal(m.counts, [11, 2, 3, 5])
-    assert m.normalized is None
-    with pytest.raises(ValueError):
-        a.merge(Hist(make_bin_edges(0.0, 2.0, 1.0), np.array([1, 1])))
-
-
 # --- detector chain -------------------------------------------------------
 
 def test_all_off_chain_is_identity(rng):

@@ -77,7 +77,6 @@ NON_DEFAULT = {
     "correlation_mode": ("tac", lambda rc: rc.detection.correlation_mode),
     "duration": ("200000.0", lambda rc: rc.duration),
     "seed": ("7", lambda rc: rc.seed),
-    "replicas": ("3", lambda rc: rc.replicas),
     "norm_lo": ("10.0", lambda rc: rc.norm_region[0]),
     "norm_hi": ("20.0", lambda rc: rc.norm_region[1]),
 }
@@ -137,7 +136,6 @@ def config_text(draw):
         "correlation_mode": st.sampled_from(["tac", "full"]),
         "duration": _num(1e-3, 1e12),
         "seed": st.integers(0, 2**32).map(repr),
-        "replicas": st.integers(1, 100).map(repr),
     }))
     # tau_max lies a whole number of bins above tau_min
     width, tau_min = draw(st.floats(1e-3, 10.0)), draw(st.floats(-100.0, 100.0))

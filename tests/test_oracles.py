@@ -565,8 +565,7 @@ def test_write_timetags_equals_row_writer(t3, t4, block):
 
 def test_write_timetags_equals_row_writer_on_a_run(tmp_path):
     # two full blocks and one row of a simulated run's tags
-    rc = default_run_config()
-    rc = dataclasses.replace(rc, duration=2.5e5, seed=17, replicas=2)
+    rc = dataclasses.replace(default_run_config(), duration=5e5, seed=17)
     tags, _ = run_replicas(rc)
     cut = np.sort(np.concatenate([tags[3], tags[4]]))[2 * fileio.TAG_BLOCK + 1]
     channels = {c: tags[c][tags[c] < cut] for c in (3, 4)}
