@@ -47,15 +47,48 @@ class InterferometerConfig:
 
 
 def route(stream: PhotonStream, cfg: InterferometerConfig, rng):
-    """Send each photon through a random arm; long arm adds exactly delta_t.
+    """Send each photon through a random arm; the long arm adds exactly delta_t.
 
-    Returns (long_arm, arrival, order): arm flags and arrivals in emission
-    order, and the stable permutation that sorts the arrivals.
+    Returns (long_arm, arrival_order): the arm flags in emission order, and a
+    generator of consecutive (indices, arrivals) slices of the stream in
+    stable arrival order, so no photon-sized permutation is built.
     """
-    long_arm = rng.random(len(stream)) < cfg.arm_prob_long
-    arrival = cfg.delta_t * long_arm  # then summed in place: one photon-sized temporary fewer
-    arrival += stream.emission_times
-    return long_arm, arrival, np.argsort(arrival, kind="stable")
+    n = len(stream)
+    long_arm = np.empty(n, dtype=bool)
+    for start in range(0, n, PORT_BLOCK):  # consecutive draws: the doubles of one rng.random(n)
+        flags = long_arm[start : start + PORT_BLOCK]
+        np.less(rng.random(len(flags)), cfg.arm_prob_long, out=flags)
+    return long_arm, _arrival_order(stream.emission_times, long_arm, cfg.delta_t)
+
+
+def _arrival(delta_t, long_arm, emission_times):
+    """Emission plus exactly 0 or delta_t: the bits of every arrival."""
+    arrival = delta_t * long_arm
+    arrival += emission_times
+    return arrival
+
+
+def _arrival_order(emission_times, long_arm, delta_t):
+    """Yield (indices, arrivals) slices whose concatenation is the stream in
+    np.argsort(arrival, kind="stable") order, walking emission-order blocks.
+
+    A photon emitted at or after emission_times[stop] arrives no earlier, and
+    has a larger index, so the photons seen so far that arrive by then
+    precede every later one in stable order: they are released, the rest are
+    carried, in index order, into the next block.
+    """
+    n = len(long_arm)
+    block = PORT_BLOCK
+    carry, carry_arr = np.zeros(0, dtype=np.int64), np.zeros(0)
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        idx = np.concatenate([carry, np.arange(start, stop)])
+        arr = np.concatenate([carry_arr, _arrival(delta_t, long_arm[start:stop], emission_times[start:stop])])
+        late = arr > (emission_times[stop] if stop < n else np.inf)
+        carry, carry_arr = idx[late], arr[late]
+        # the late photons arrive after every released one: they sort last
+        o = np.argsort(arr, kind="stable")[: len(arr) - len(carry)]
+        yield idx[o], arr[o]
 
 
 def bunching_probability(u_a, u_b, arr_a, arr_b, gamma_pure, bs: BeamSplitterConfig):
@@ -92,18 +125,24 @@ def match_pairs(n_photons, a_idx, b_idx, q, rng):
     used.  This gives exactly the sequential result, in few rounds for
     random-like orders (Blelloch, Fineman & Shun, "Greedy sequential maximal
     independent set and matching are parallel on average", SPAA 2012).
+
+    a_idx, b_idx and q are permuted in place into processing order, so no
+    second copy of the pairs is alive during the survival sums; the returned
+    a_o and b_o are a_idx and b_idx.
     """
     # strongest first, ties in candidate order: the unstable sort is much
     # faster than a stable one, and only the runs of equal q need re-sorting
+    # (which leaves q_o as it is: a run's values are equal)
     order = np.argsort(-q)
-    q_o = q[order]
+    a_o, b_o, q_o = a_idx, b_idx, q  # permuted in place
+    q_o[:] = q[order]
     tied = np.flatnonzero(q_o[1:] == q_o[:-1])
     if len(tied):
         pos = np.union1d(tied, tied + 1)
         run = np.cumsum(np.r_[0, q_o[pos[1:]] != q_o[pos[:-1]]])
         order[pos] = order[pos][np.lexsort((order[pos], run))]
-        q_o[pos] = q[order[pos]]
-    a_o, b_o = a_idx[order], b_idx[order]
+    a_o[:] = a_o[order]
+    b_o[:] = b_o[order]
     del order
     m = len(q_o)
     if m == 0:
@@ -221,21 +260,29 @@ def interfere_stream(stream: PhotonStream, cfg: InterferometerConfig, p: Emitter
     Interference only moves opposite-port pairs to a common port; singles
     rates and totals are preserved.
     """
-    long_arm, arrival, order = route(stream, cfg, rng)
-    n = len(arrival)
+    long_arm, arrival_order = route(stream, cfg, rng)
+    n = len(long_arm)
     c2, s2 = math.cos(cfg.bs.theta) ** 2, math.sin(cfg.bs.theta) ** 2
+    pairing = cfg.pol_mode == "parallel" and cfg.pairing == "weighted" and cfg.bs.mode_match > 0 and n > 1
     # port 3 with probability sin^2 (long arm) or cos^2 (short arm): uniforms
-    # drawn in slices of the arrival order are the doubles of one rng.random(n)
+    # drawn a slice of the arrival order at a time are the doubles of one
+    # rng.random(n).  Only the pair search needs the whole arrival order.
     port3 = np.empty(n, dtype=bool)
-    for start in range(0, n, PORT_BLOCK):
-        o = order[start : start + PORT_BLOCK]
+    if pairing:
+        arrival, order = np.empty(n), np.empty(n, dtype=np.int64)
+    pos = 0
+    for o, arr in arrival_order:
         r = rng.random(len(o))
         port3[o] = np.where(long_arm[o], r < s2, r < c2)
-    o = r = None  # a live slice would keep order alive past its del below
+        if pairing:
+            arrival[o] = arr
+            order[pos : pos + len(o)] = o
+            pos += len(o)
+    o = arr = r = None  # the last slice and its uniforms, a block each, would live through the ports' fill
 
-    if cfg.pol_mode == "parallel" and cfg.pairing == "weighted" and cfg.bs.mode_match > 0 and n > 1:
+    if pairing:
         a_idx, b_idx, q = _candidate_pairs(arrival, stream.envelope_delays, long_arm, p, cfg.bs, 10.0 / p.gamma_spon)
-        arrival = None  # re-derived below: the matcher runs with one photon-sized array fewer
+        del arrival  # the matcher runs with one photon-sized array fewer
         # the matcher numbers photons by arrival rank, which its survival sums' bits follow
         rank = np.empty_like(order)
         rank[order] = np.arange(n)
@@ -245,12 +292,22 @@ def interfere_stream(stream: PhotonStream, cfg: InterferometerConfig, p: Emitter
         det = rng.random(len(a_o)) < 0.5  # the common port: 3 if True
         port3[order[a_o[acc]]] = det[acc]
         port3[order[b_o[acc]]] = det[acc]
+        del order
 
-    del arrival, order  # the detection instants: route's sum, then the envelope delay
-    u = cfg.delta_t * long_arm
-    u += stream.emission_times
-    u += stream.envelope_delays
-    del long_arm
-    # np.compress selects a random half several times faster than u[port3],
-    # and the stable sort (timsort) merges the runs of each arm's instants
-    return {ch: np.sort(np.compress(sel, u), kind="stable") for ch, sel in ((3, port3), (4, ~port3))}
+    # the detection instants, arrival plus envelope delay, filled a block of
+    # emission order at a time into each port's array, then sorted in place:
+    # the stable sort (timsort) merges the runs of each arm's instants
+    n3 = int(np.count_nonzero(port3))
+    out = {3: np.empty(n3), 4: np.empty(n - n3)}
+    filled = {3: 0, 4: 0}
+    for start in range(0, n, PORT_BLOCK):
+        blk = slice(start, start + PORT_BLOCK)
+        u = _arrival(cfg.delta_t, long_arm[blk], stream.emission_times[blk])
+        u += stream.envelope_delays[blk]
+        for ch, sel in ((3, port3[blk]), (4, ~port3[blk])):
+            k = filled[ch] + int(np.count_nonzero(sel))
+            np.compress(sel, u, out=out[ch][filled[ch] : k])
+            filled[ch] = k
+    for t in out.values():
+        t.sort(kind="stable")
+    return out

@@ -67,6 +67,12 @@ def run_replica(rc: RunConfig):
 
 
 def run_replicas(rc: RunConfig):
-    """One run; returns (tag channels, raw histogram of those tags)."""
-    _, channels = run_replica(rc)
+    """One run; returns (tag channels, raw histogram of those tags).
+
+    The emission stream is only an argument of the interferometer, so it is
+    freed before the detector chain runs.
+    """
+    channels = interfere_stream(simulate_emission_stream(rc.emitter, rc.duration, rc.seed), rc.interferometer,
+                                rc.emitter, _stage_rng(rc.seed, 1))
+    channels = apply_detector(channels, rc.detection, _stage_rng(rc.seed, 2), rc.duration)
     return channels, tac_mca_histogram(channels, rc.detection)

@@ -30,12 +30,23 @@ def _itf(**kw):
     return InterferometerConfig(**kw)
 
 
+def _routed(stream, cfg, rng):
+    """route's arrival-order slices gathered: (long_arm, arrivals in emission
+    order, the arrival order, the slices)."""
+    long_arm, slices = route(stream, cfg, rng)
+    slices = list(slices)
+    order = np.concatenate([o for o, _ in slices])
+    arrival = np.empty(len(order))
+    arrival[order] = np.concatenate([a for _, a in slices])
+    return long_arm, arrival, order, slices
+
+
 def test_route_applies_exact_delay(strong_dephasing):
     stream = simulate_emission_stream(strong_dephasing, 3e3, seed=4)
-    long_arm, arrival, order = route(stream, _itf(), np.random.default_rng(7))
+    long_arm, arrival, order, _ = _routed(stream, _itf(), np.random.default_rng(7))
     # replay the arm draw: each photon's arrival is its emission plus exactly
     # 0 or exactly delta_t (the forward sum, so the float op matches bit for
-    # bit), in emission order; order is the stable sort of the arrivals
+    # bit); the slices run through the stable sort of the arrivals
     want_long = np.random.default_rng(7).random(len(stream)) < 0.5
     want = stream.emission_times + 4.6 * want_long
     np.testing.assert_array_equal(long_arm, want_long)
@@ -48,13 +59,17 @@ def test_route_applies_exact_delay(strong_dephasing):
 def test_route_arm_fraction_and_polarization(strong_dephasing):
     stream = simulate_emission_stream(strong_dephasing, 3e4, seed=9)
     cfg = _itf(arm_prob_long=0.3, pol_mode="orthogonal")
-    routed = route(stream, cfg, np.random.default_rng(11))
+    routed = _routed(stream, cfg, np.random.default_rng(11))
     frac = routed[0].mean()
     assert abs(frac - 0.3) < 3 * math.sqrt(0.3 * 0.7 / len(stream))
     # polarization decides only whether pairs interfere, never the routing
-    par = route(stream, _itf(arm_prob_long=0.3), np.random.default_rng(11))
-    for got, want in zip(par, routed):
+    par = _routed(stream, _itf(arm_prob_long=0.3), np.random.default_rng(11))
+    for got, want in zip(par[:3], routed[:3]):
         np.testing.assert_array_equal(got, want)
+    assert len(par[3]) == len(routed[3])
+    for got, want in zip(par[3], routed[3]):
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
 
 
 def test_bunching_probability_frozen_example(balanced_splitter):
@@ -144,7 +159,7 @@ def test_candidate_pairs_emission_order_equals_arrival_order(molecule):
     # emission index; the pairs found in emission order, renumbered by rank,
     # are those found in arrival order, in the same sequence
     stream = simulate_emission_stream(molecule, 2e4, seed=6)
-    long_arm, arrival, order = route(stream, _itf(), np.random.default_rng(2))
+    long_arm, arrival, order, _ = _routed(stream, _itf(), np.random.default_rng(2))
     rank = np.empty(len(order), dtype=np.int64)
     rank[order] = np.arange(len(order))
     assert not np.array_equal(rank, np.arange(len(rank)))
@@ -217,15 +232,18 @@ def test_interfere_stream_conserves_and_reproduces(strong_dephasing):
         np.testing.assert_array_equal(out1[4], out2[4])
 
 
-@pytest.mark.parametrize("pol_mode,bound", [("orthogonal", 3.0), ("parallel", 8.5)])
-def test_interfere_stream_peak_memory(molecule, pol_mode, bound):
-    # photon-sized arrays stay in emission order and the port uniforms are
-    # drawn a slice at a time: 2.75 photon-sized arrays above entry, where a
-    # sorted copy of the stream and one float uniform per photon peaked at
-    # 3.50.  The parallel peak (7.13 at this seed) is the pair search's and
-    # the matcher's; it was 10.72 with a photon-sized array of detection
-    # instants in the pair search and a new 2m-sized buffer for each step of
-    # the matcher's survival sums.
+@pytest.mark.parametrize("pol_mode,arrays,blocks", [("orthogonal", 1.3, 4.5), ("parallel", 7.3, 0.0)],
+                         ids=["orthogonal", "parallel"])
+def test_interfere_stream_peak_memory(molecule, pol_mode, arrays, blocks):
+    # Orthogonal: the arm flags, the port flags and the two ports' instants,
+    # 1.25 photon-sized arrays, plus the block walk's temporaries, 3.85
+    # PORT_BLOCK-sized float arrays at this seed (2.15 photon-sized arrays in
+    # all; 1.29 at the benchmark's length).  A photon-sized arrival array,
+    # a global argsort and the instants before the port split peaked at 2.75.
+    # The parallel peak (7.11 at this seed) is the pair search's; the
+    # matcher's was 7.13 when it gathered its own copy of the pairs, and
+    # 10.72 with a photon-sized array of detection instants in the pair
+    # search and a new 2m-sized buffer for each step of the survival sums.
     cfg = _itf(bs=BeamSplitterConfig(theta=math.pi / 4, mode_match=0.7), pol_mode=pol_mode)
     interfere_stream(simulate_emission_stream(molecule, 1e3, seed=1), cfg, molecule, np.random.default_rng(1))
     stream = simulate_emission_stream(molecule, 1e6, seed=3)
@@ -236,14 +254,15 @@ def test_interfere_stream_peak_memory(molecule, pol_mode, bound):
     finally:
         tracemalloc.stop()
     assert len(stream) > 100_000
-    assert peak <= bound * stream.emission_times.nbytes
+    assert peak <= arrays * stream.emission_times.nbytes + blocks * 8 * interferometer.PORT_BLOCK
 
 
 def test_match_pairs_peak_memory(molecule):
-    # the survival sums hold at most three 2m-sized buffers: 10.0 pair-sized
-    # arrays (8 m bytes) above entry at this seed, against 18.6 when the
-    # sorted photons, the gathered q, the cumsum, the group bases and the
-    # survival values each had their own buffer
+    # the pairs are permuted in place and the survival sums hold at most
+    # three 2m-sized buffers: 7.0 pair-sized arrays (8 m bytes) above entry
+    # at this seed, against 10.0 with a gathered copy of the pairs and 18.6
+    # when the sorted photons, the gathered q, the cumsum, the group bases
+    # and the survival values each had their own buffer
     cfg = _itf(bs=BeamSplitterConfig(theta=math.pi / 4, mode_match=0.7))
     stream = simulate_emission_stream(molecule, 1e6, seed=3)
     with mock.patch.object(interferometer, "match_pairs", wraps=match_pairs) as spy:
@@ -256,7 +275,7 @@ def test_match_pairs_peak_memory(molecule):
     finally:
         tracemalloc.stop()
     assert len(q) > 50_000
-    assert peak <= 14 * q.nbytes
+    assert peak <= 7.5 * q.nbytes
 
 
 def test_no_interference_paths_agree(strong_dephasing):

@@ -313,8 +313,11 @@ def test_window_pairs_equals_double_loop(ranges):
 
 
 def _assert_same_matching(n, a_idx, b_idx, q, seed):
-    got = match_pairs(n, a_idx, b_idx, q, np.random.default_rng(seed))
     want = _match_pairs_loop(n, a_idx, b_idx, q, np.random.default_rng(seed))
+    # the matcher permutes its inputs in place and returns them
+    a, b = a_idx.copy(), b_idx.copy()
+    got = match_pairs(n, a, b, q.copy(), np.random.default_rng(seed))
+    assert got[0] is a and got[1] is b
     for g, w in zip(got, want):
         np.testing.assert_array_equal(g, w)
 
@@ -458,7 +461,10 @@ def test_candidate_pairs_equals_window_expansion(routed, gamma_pure, mode_match,
 def test_candidate_pairs_equals_window_expansion_on_a_run():
     rc = default_run_config()
     stream = simulate_emission_stream(rc.emitter, 2e5, 4)
-    long_arm, arrival, _ = route(stream, rc.interferometer, np.random.default_rng(4))
+    long_arm, slices = route(stream, rc.interferometer, np.random.default_rng(4))
+    arrival = np.empty(len(stream))
+    for o, arr in slices:
+        arrival[o] = arr
     window = 10.0 / rc.emitter.gamma_spon
     routed = arrival, stream.envelope_delays, long_arm
     assert _assert_same_candidates(routed, rc.emitter, rc.interferometer.bs, window) > 10_000
@@ -636,6 +642,85 @@ def test_interfere_stream_equals_int8_port_split(p, duration, seed, delta_t, the
     _assert_same_bits(stream.emission_times, before[0])
     _assert_same_bits(stream.envelope_delays, before[1])
     _assert_same_channels(got, _interfere_stream_int8(stream, cfg, p, np.random.default_rng(seed)))
+
+
+@st.composite
+def photon_streams(draw):
+    """Short simulated streams, or emission times on a lattice: repeated
+    instants, and long-arm arrivals that equal a later photon's emission
+    exactly (e_i + delta_t == e_j for delta_t 100 at step 0.5, often for
+    4.6 at steps 2.3 and 4.6)."""
+    if draw(st.booleans()):
+        return simulate_emission_stream(draw(EMITTERS), draw(st.sampled_from([30.0, 300.0])), draw(SEEDS))
+    step = draw(st.sampled_from([0.5, 2.3, 4.6]))
+    offset = draw(st.sampled_from([0.0, 1e6]))
+    ks = np.sort(np.array(draw(st.lists(st.integers(0, 300), max_size=60)), dtype=float))
+    env = 0.5 * np.array(draw(st.lists(st.integers(0, 40), min_size=len(ks), max_size=len(ks))), dtype=float)
+    return PhotonStream(offset + step * ks, env, offset + 400 * step)
+
+
+def _assert_blocks_equal_stable_argsort(stream, cfg, seed, block):
+    with mock.patch.object(interferometer, "PORT_BLOCK", block):
+        long_arm, slices = route(stream, cfg, np.random.default_rng(seed))
+        slices = list(slices)
+    want_long = np.random.default_rng(seed).random(len(stream)) < cfg.arm_prob_long
+    arrival = stream.emission_times + cfg.delta_t * want_long
+    order = np.argsort(arrival, kind="stable")
+    _assert_same_bits(long_arm, want_long)
+    assert len(slices) == -(-len(stream) // block)  # one slice per emission block
+    _assert_same_bits(np.concatenate([np.zeros(0, dtype=np.int64)] + [o for o, _ in slices]), order)
+    _assert_same_bits(np.concatenate([np.zeros(0)] + [a for _, a in slices]), arrival[order])
+
+
+def _assert_blocks_equal_int8_port_split(stream, cfg, p, seed, block):
+    with mock.patch.object(interferometer, "PORT_BLOCK", block):
+        got = interfere_stream(stream, cfg, p, np.random.default_rng(seed))
+    _assert_same_channels(got, _interfere_stream_int8(stream, cfg, p, np.random.default_rng(seed)))
+
+
+@SETTINGS
+@given(
+    stream=photon_streams(),
+    seed=SEEDS,
+    delta_t=st.sampled_from([0.0, 4.6, 100.0]),
+    block=st.sampled_from([1, 2, 7]),
+    arm_prob_long=st.sampled_from([0.5, 0.0, 1.0]),
+)
+def test_arrival_order_blocks_equal_stable_argsort(stream, seed, delta_t, block, arm_prob_long):
+    cfg = InterferometerConfig(delta_t=delta_t, arm_prob_long=arm_prob_long)
+    _assert_blocks_equal_stable_argsort(stream, cfg, seed, block)
+
+
+@SETTINGS
+@given(
+    stream=photon_streams(),
+    seed=SEEDS,
+    delta_t=st.sampled_from([0.0, 4.6, 100.0]),
+    block=st.sampled_from([1, 2, 7]),
+    pol_mode=st.sampled_from(["parallel", "orthogonal"]),
+    theta=st.sampled_from([math.pi / 4, 0.3]),
+)
+def test_interfere_stream_blocks_equal_int8_port_split(stream, seed, delta_t, block, pol_mode, theta):
+    # the block walk, the port draw and the instants, over many blocks: a
+    # stream of the other tests never reaches a second PORT_BLOCK
+    p = EmitterParams(gamma_spon=1 / 3.4, gamma_pure=0.2, w_p=6.5)
+    cfg = InterferometerConfig(delta_t=delta_t, bs=BeamSplitterConfig(theta=theta, mode_match=0.7), pol_mode=pol_mode)
+    _assert_blocks_equal_int8_port_split(stream, cfg, p, seed, block)
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, interferometer.PORT_BLOCK])
+def test_arrival_order_blocks_on_tied_lattice(block):
+    # every long-arm photon arrives exactly when the photon 200 places later
+    # is emitted, and those ties straddle the block edges
+    e = 0.5 * np.arange(900.0)
+    stream = PhotonStream(e, np.full(900, 1.5), 450.0)
+    p = EmitterParams(gamma_spon=1 / 3.4, gamma_pure=0.2, w_p=6.5)
+    for pol_mode in ("parallel", "orthogonal"):
+        cfg = InterferometerConfig(delta_t=100.0, bs=BeamSplitterConfig(mode_match=0.7), pol_mode=pol_mode)
+        arrival = e + 100.0 * (np.random.default_rng(3).random(900) < 0.5)
+        assert len(np.unique(arrival)) < 800
+        _assert_blocks_equal_stable_argsort(stream, cfg, 3, block)
+        _assert_blocks_equal_int8_port_split(stream, cfg, p, 3, block)
 
 
 @st.composite
