@@ -135,7 +135,7 @@ def match_pairs(n_photons, a_idx, b_idx, q, rng):
     # (which leaves q_o as it is: a run's values are equal)
     order = np.argsort(-q)
     a_o, b_o, q_o = a_idx, b_idx, q  # permuted in place
-    q_o[:] = q[order]
+    q_o[:] = q_o[order]
     tied = np.flatnonzero(q_o[1:] == q_o[:-1])
     if len(tied):
         pos = np.union1d(tied, tied + 1)
