@@ -136,8 +136,8 @@ def hom_model(centers, bin_width, gamma_spon, delta_t, irf_fwhm):
         raise ValueError("bin_width must be positive and finite")
     if not (math.isfinite(irf_fwhm) and irf_fwhm >= 0):
         raise ValueError("irf_fwhm must be non-negative and finite")
-    if not math.isfinite(delta_t):
-        raise ValueError("delta_t must be finite")
+    if not (math.isfinite(delta_t) and delta_t >= 0):
+        raise ValueError("delta_t must be non-negative and finite")
     centers = np.asarray(centers, dtype=float)
     n_sub = FINE
     if irf_fwhm > 0:  # keep the sub-grid fine enough for the IRF kernel
@@ -193,8 +193,9 @@ def fit_hom_model(
 
     centers = h_par.bin_centers
     sel = np.abs(centers) <= fit_window
-    if not np.any(sel):
-        raise ValueError("fit window selects no bins")
+    n_sel = np.count_nonzero(sel)
+    if n_sel < 2:  # two residuals per bin, four fitted parameters
+        raise ValueError("fit window must select at least 2 bins per curve for 4 parameters, not %d" % n_sel)
     c_sel = centers[sel]
     width = h_par.bin_width
     d_par, d_orth = h_par.normalized[sel], h_orth.normalized[sel]

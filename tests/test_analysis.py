@@ -150,6 +150,7 @@ def test_model_curves_structure():
         (math.inf, 4.6, 0.42),
         (0.21, math.nan, 0.42),
         (0.21, math.inf, 0.42),
+        (0.21, -4.6, 0.42),
     ],
 )
 def test_model_rejects_bad_geometry(bin_width, delta_t, irf_fwhm):

@@ -238,6 +238,12 @@ def test_exit_codes(tmp_path, capsys):
                  "--irf-fwhm-ns", "50", "--out", str(tmp_path / "bad")]) == 3
     err = capsys.readouterr().err
     assert "--irf-fwhm-ns" in err and "--bin" in err and "--tau-step-ns" not in err
+    # a window of one bin per curve gives 2 residuals for 4 parameters, and
+    # a negative delay is refused as simulate refuses it
+    for flags, message in ((["--fit-window-ns", "0.1"], "at least 2 bins"), (["--delta-t-ns", "-3"], "non-negative")):
+        assert main(["analyze", "--par", str(good), "--orth", str(good), "--bin", "1", *flags,
+                     "--out", str(tmp_path / "bad")]) == 3
+        assert message in capsys.readouterr().err
     assert not list(tmp_path.glob("bad*"))
 
 
@@ -272,3 +278,24 @@ def test_analyze_runs_without_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code] + args, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "converged True" in proc.stdout
+
+
+def test_import_starts_no_blas_workers():
+    # OpenBLAS sizes its thread pool once, when numpy loads: homsim loads it
+    # single-threaded unless the caller set OPENBLAS_NUM_THREADS, and leaves
+    # the environment as it found it
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc/self/task to count threads in")
+    src = str(Path(homsim.__file__).resolve().parents[1])
+    code = "import os, %s; print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))"
+
+    def run(module, **extra):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env.update(PYTHONPATH=src, **extra)
+        proc = subprocess.run([sys.executable, "-c", code % module], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    threads_single, _ = run("numpy", OPENBLAS_NUM_THREADS="1")
+    assert run("homsim") == [threads_single, "None"]
+    assert run("homsim", OPENBLAS_NUM_THREADS="2")[1] == "2"
