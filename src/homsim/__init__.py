@@ -5,14 +5,15 @@ pipeline, and the joint fit used to extract dephasing and pump rates from
 measured coincidence histograms.
 
 A process that imports homsim before numpy, the CLI's or a library user's,
-loads OpenBLAS single-threaded unless OPENBLAS_NUM_THREADS is set: an idle
+loads OpenBLAS single-threaded unless OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS
+or OMP_NUM_THREADS (which OpenBLAS reads in that order) is set: an idle
 worker would spin for about 0.13 s of CPU, and the fit's 4x4 solves run on
 one thread anyway.  The variable is unset again once numpy has loaded.
 """
 
 import os
 
-if "OPENBLAS_NUM_THREADS" not in os.environ:
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     import numpy  # OpenBLAS reads the variable once, when numpy loads it
 

@@ -29,7 +29,6 @@ CONFIG_FIELDS = {
     "theta": ("interferometer.bs.theta", None),
     "mode_match": ("interferometer.bs.mode_match", None),
     "pol_mode": ("interferometer.pol_mode", None),
-    "arm_prob_long": ("interferometer.arm_prob_long", None),
     "pairing": ("interferometer.pairing", None),
     "irf_fwhm_pair": ("detection.irf_fwhm_pair", None),
     "efficiency_3": ("detection.efficiency.0", None),

@@ -1,6 +1,6 @@
 """Unbalanced Michelson-style delay line plus recombining beam splitter.
 
-Each photon takes the short or long arm (Bernoulli), acquiring delta_t of
+Each photon takes the short or long arm (1/2 each), acquiring delta_t of
 extra delay on the long arm, and leaves the output splitter through port 3
 or 4 independently.  In parallel polarization, opposite-arm photons whose
 envelopes overlap at both detection instants can instead bunch into a
@@ -32,7 +32,6 @@ class InterferometerConfig:
     delta_t: float = 0.0
     bs: BeamSplitterConfig = BeamSplitterConfig()
     pol_mode: str = "parallel"
-    arm_prob_long: float = 0.5
     pairing: str = "weighted"  # weighted | none
 
     def __post_init__(self):
@@ -40,14 +39,13 @@ class InterferometerConfig:
             raise ValueError("delta_t must be non-negative and finite")
         if self.pol_mode not in ("parallel", "orthogonal"):
             raise ValueError("pol_mode must be 'parallel' or 'orthogonal'")
-        if not 0.0 <= self.arm_prob_long <= 1.0:
-            raise ValueError("arm_prob_long must lie in [0, 1]")
         if self.pairing not in ("weighted", "none"):
             raise ValueError("pairing must be weighted or none")
 
 
 def route(stream: PhotonStream, cfg: InterferometerConfig, rng):
-    """Send each photon through a random arm; the long arm adds exactly delta_t.
+    """Send each photon through either arm with probability 1/2, as
+    coherence.g2_34 assumes; the long arm adds exactly delta_t.
 
     Returns (long_arm, arrival_order): the arm flags in emission order, and a
     generator of consecutive (indices, arrivals) slices of the stream in
@@ -57,7 +55,7 @@ def route(stream: PhotonStream, cfg: InterferometerConfig, rng):
     long_arm = np.empty(n, dtype=bool)
     for start in range(0, n, PORT_BLOCK):  # consecutive draws: the doubles of one rng.random(n)
         flags = long_arm[start : start + PORT_BLOCK]
-        np.less(rng.random(len(flags)), cfg.arm_prob_long, out=flags)
+        np.less(rng.random(len(flags)), 0.5, out=flags)
     return long_arm, _arrival_order(stream.emission_times, long_arm, cfg.delta_t)
 
 

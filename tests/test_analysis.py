@@ -267,6 +267,13 @@ def test_curvature_stderr_is_gauss_newton():
     assert all(math.isnan(s) for s in analysis._curvature_stderr(np.zeros((3, 2))))
 
 
+def test_restart_offsets_are_the_seed_0_draws():
+    # the fit's restarts are constants, so it builds no generator; they are
+    # bit for bit the three draws it used to take from one
+    rng = np.random.default_rng(0)
+    assert np.array_equal(analysis._RESTARTS, [rng.normal(0, 0.15, 4) for _ in range(3)])
+
+
 def test_fit_scale_invariance():
     h_par, h_orth, det = _synthetic_pair(0.3, 2.0, 0.6, 0.08)
     fit1 = fit_hom_model(h_par, h_orth, 1 / 3.4, det, 4.6)

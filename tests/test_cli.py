@@ -11,7 +11,8 @@ import pytest
 import homsim
 from homsim.cli import MAX_TAU_STEPS, main
 from homsim.detection import tac_mca_histogram
-from homsim.fileio import read_config, read_histogram, read_timetags
+from homsim.analysis import hom_model_curves
+from homsim.fileio import read_config, read_histogram, read_timetags, write_histogram
 
 G2_PAR_A_AT_02 = 0.628408866133492004
 G2_ORTH_A_AT_02 = 0.751707348104295243
@@ -187,8 +188,10 @@ def test_exit_codes(tmp_path, capsys):
         assert main(["simulate", flag, value, "--out", str(tmp_path / "bad")]) == 3
     # removed keys (the pair search window and the stop delay are worked out
     # from the emitter and the MCA range; a run is one timeline, so it has no
-    # replicas) are unknown keys, named with their line
-    for key, value in (("pairing_window", "auto"), ("electronic_delay", "0.0"), ("replicas", "1")):
+    # replicas; the arms are equally likely, as g2_34 assumes) are unknown
+    # keys, named with their line
+    for key, value in (("pairing_window", "auto"), ("electronic_delay", "0.0"), ("replicas", "1"),
+                       ("arm_prob_long", "0.5")):
         removed = tmp_path / ("%s.config.txt" % key)
         removed.write_text("duration = 20000.0\n%s = %s\n" % (key, value))
         capsys.readouterr()
@@ -280,17 +283,38 @@ def test_analyze_runs_without_scipy(tmp_path):
     assert "converged True" in proc.stdout
 
 
+def test_analyze_leaves_numpy_random_unloaded(tmp_path):
+    # the fit's restarts are constants: analyze never imports numpy.random
+    # and its import chain (secrets, hashlib, hmac, ...)
+    edges = homsim.make_bin_edges(-24.99, 24.99, 0.21)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    curves = hom_model_curves(centers, 0.21, 1 / 3.4, 0.2, 6.5, 0.7, 0.05, 4.6, 0.42)
+    for pol, curve in zip(("par", "orth"), curves):
+        hist = homsim.CorrelationHistogram(edges, np.rint(1000 * curve).astype(np.int64))
+        write_histogram(tmp_path / ("%s.hist.csv" % pol), homsim.normalize(hist, (10.0, 20.0)))
+    src = str(Path(homsim.__file__).resolve().parents[1])
+    code = "import sys; from homsim.cli import main; rc = main(sys.argv[1:]); print(rc, 'numpy.random' in sys.modules)"
+    args = ["analyze", "--par", str(tmp_path / "par.hist.csv"), "--orth", str(tmp_path / "orth.hist.csv"),
+            "--out", str(tmp_path / "an")]
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code] + args, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["0", "False"]
+
+
 def test_import_starts_no_blas_workers():
     # OpenBLAS sizes its thread pool once, when numpy loads: homsim loads it
-    # single-threaded unless the caller set OPENBLAS_NUM_THREADS, and leaves
-    # the environment as it found it
+    # single-threaded unless the caller set OPENBLAS_NUM_THREADS or one of
+    # the two variables OpenBLAS falls back on, and leaves the environment as
+    # it found it
     if not os.path.isdir("/proc/self/task"):
         pytest.skip("no /proc/self/task to count threads in")
     src = str(Path(homsim.__file__).resolve().parents[1])
     code = "import os, %s; print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))"
 
     def run(module, **extra):
-        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
         env.update(PYTHONPATH=src, **extra)
         proc = subprocess.run([sys.executable, "-c", code % module], env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
@@ -299,3 +323,5 @@ def test_import_starts_no_blas_workers():
     threads_single, _ = run("numpy", OPENBLAS_NUM_THREADS="1")
     assert run("homsim") == [threads_single, "None"]
     assert run("homsim", OPENBLAS_NUM_THREADS="2")[1] == "2"
+    for var in ("GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        assert run("homsim", **{var: "2"}) == run("numpy", **{var: "2"})

@@ -63,7 +63,6 @@ NON_DEFAULT = {
     "theta": ("0.9", lambda rc: rc.interferometer.bs.theta),
     "mode_match": ("0.5", lambda rc: rc.interferometer.bs.mode_match),
     "pol_mode": ("orthogonal", lambda rc: rc.interferometer.pol_mode),
-    "arm_prob_long": ("0.3", lambda rc: rc.interferometer.arm_prob_long),
     "pairing": ("none", lambda rc: rc.interferometer.pairing),
     "irf_fwhm_pair": ("0.3", lambda rc: rc.detection.irf_fwhm_pair),
     "efficiency_3": ("0.3", lambda rc: rc.detection.efficiency[0]),
@@ -125,7 +124,6 @@ def config_text(draw):
         "theta": _num(0.0, math.pi / 2),
         "mode_match": _num(0.0, 1.0),
         "pol_mode": st.sampled_from(["parallel", "orthogonal"]),
-        "arm_prob_long": _num(0.0, 1.0),
         "pairing": st.sampled_from(["weighted", "none"]),
         "irf_fwhm_pair": _num(0.0, 10.0),
         "efficiency_3": _num(0.0, 1.0),
@@ -152,7 +150,7 @@ def config_text(draw):
 
 # keys whose value must be a finite number (gamma_vib = inf means instantaneous)
 FINITE_ONLY = (
-    "gamma_spon", "gamma_pure", "w_p", "delta_t", "theta", "mode_match", "arm_prob_long",
+    "gamma_spon", "gamma_pure", "w_p", "delta_t", "theta", "mode_match",
     "irf_fwhm_pair", "efficiency_3", "efficiency_4", "dead_time_3", "dead_time_4", "background_fraction",
     "tau_min", "tau_max", "bin_width", "duration", "norm_lo", "norm_hi",
 )

@@ -58,12 +58,11 @@ def test_route_applies_exact_delay(strong_dephasing):
 
 def test_route_arm_fraction_and_polarization(strong_dephasing):
     stream = simulate_emission_stream(strong_dephasing, 3e4, seed=9)
-    cfg = _itf(arm_prob_long=0.3, pol_mode="orthogonal")
-    routed = _routed(stream, cfg, np.random.default_rng(11))
+    routed = _routed(stream, _itf(pol_mode="orthogonal"), np.random.default_rng(11))
     frac = routed[0].mean()
-    assert abs(frac - 0.3) < 3 * math.sqrt(0.3 * 0.7 / len(stream))
+    assert abs(frac - 0.5) < 3 * math.sqrt(0.25 / len(stream))
     # polarization decides only whether pairs interfere, never the routing
-    par = _routed(stream, _itf(arm_prob_long=0.3), np.random.default_rng(11))
+    par = _routed(stream, _itf(), np.random.default_rng(11))
     for got, want in zip(par[:3], routed[:3]):
         np.testing.assert_array_equal(got, want)
     assert len(par[3]) == len(routed[3])
@@ -114,20 +113,20 @@ def test_bunching_probability_bounds(rng):
 
 def test_unpaired_port_probabilities():
     # without pairing a short-arm photon reaches port 3 with cos^2(theta)
-    # and a long-arm photon with sin^2(theta)
+    # and a long-arm photon with sin^2(theta); the detection instant, the
+    # arrival plus the envelope delay, tells the arms apart
     bs = BeamSplitterConfig(theta=0.9, mode_match=1.0)
     c2 = math.cos(0.9) ** 2
     n = 20000
     stream = PhotonStream(np.arange(n) * 10.0 + 1.0, np.full(n, 0.5), n * 10.0)
     p = EmitterParams(gamma_spon=1.0)
-    se = 3 * math.sqrt(c2 * (1 - c2) / n)
-    for arm_prob_long, p3 in ((0.0, c2), (1.0, 1 - c2)):
-        cfg = _itf(bs=bs, arm_prob_long=arm_prob_long, pairing="none")
-        out = interfere_stream(stream, cfg, p, np.random.default_rng(5))
-        assert len(out[3]) + len(out[4]) == n
-        assert abs(len(out[3]) / n - p3) < se
-        # detection instant is the arrival plus the envelope delay
-        assert np.isin(out[3], stream.emission_times + 4.6 * arm_prob_long + 0.5).all()
+    out = interfere_stream(stream, _itf(bs=bs, pairing="none"), p, np.random.default_rng(5))
+    counted = 0
+    for delay, p3 in ((0.0, c2), (4.6, 1 - c2)):
+        n3, n4 = (np.count_nonzero(np.isin(out[k], stream.emission_times + delay + 0.5)) for k in (3, 4))
+        assert abs(n3 / (n3 + n4) - p3) < 3 * math.sqrt(c2 * (1 - c2) / (n3 + n4))
+        counted += n3 + n4
+    assert len(out[3]) + len(out[4]) == counted == n
 
 
 def test_candidate_pairs_weights_and_window():
@@ -147,7 +146,7 @@ def test_candidate_pairs_weights_and_window():
     a, b, q = _candidate_pairs(np.array([0.0, 5.0]), np.array([1.0, 1.0]), long_arm, p, bs, window=10.0)
     assert len(q) == 0
 
-    # every photon in one arm (arm_prob_long 0 or 1): typed empty arrays
+    # every photon in one arm: typed empty arrays
     for arm in (False, True):
         a, b, q = _candidate_pairs(np.arange(5.0), np.full(5, 0.5), np.full(5, arm), p, bs, window=10.0)
         assert (len(a), len(b), len(q)) == (0, 0, 0)

@@ -235,7 +235,7 @@ def _interfere_stream_int8(stream, cfg, p, rng):
     # gathers), one uniform per photon in one draw, an int8 port per photon
     # through a nested np.where, the window-expansion pair search and
     # default-kind sorts
-    long_arm = rng.random(len(stream)) < cfg.arm_prob_long
+    long_arm = rng.random(len(stream)) < 0.5
     arrival = stream.emission_times + cfg.delta_t * long_arm
     order = np.argsort(arrival, kind="stable")
     arrival, long_arm, env = arrival[order], long_arm[order], stream.envelope_delays[order]
@@ -628,13 +628,11 @@ def test_emission_equals_drawn_and_concatenated(p, duration, seed, cycle_scale):
     theta=st.sampled_from([math.pi / 4, 0.3, 0.0, math.pi / 2]),
     mode_match=st.sampled_from([0.0, 0.7, 1.0]),
     pol_mode=st.sampled_from(["parallel", "orthogonal"]),
-    arm_prob_long=st.sampled_from([0.5, 0.0, 1.0, 0.3]),
     pairing=st.sampled_from(["weighted", "none"]),
 )
-def test_interfere_stream_equals_int8_port_split(p, duration, seed, delta_t, theta, mode_match, pol_mode,
-                                                 arm_prob_long, pairing):
+def test_interfere_stream_equals_int8_port_split(p, duration, seed, delta_t, theta, mode_match, pol_mode, pairing):
     cfg = InterferometerConfig(delta_t=delta_t, bs=BeamSplitterConfig(theta=theta, mode_match=mode_match),
-                               pol_mode=pol_mode, arm_prob_long=arm_prob_long, pairing=pairing)
+                               pol_mode=pol_mode, pairing=pairing)
     stream = simulate_emission_stream(p, duration, seed)
     before = stream.emission_times.copy(), stream.envelope_delays.copy()
     got = interfere_stream(stream, cfg, p, np.random.default_rng(seed))
@@ -663,7 +661,7 @@ def _assert_blocks_equal_stable_argsort(stream, cfg, seed, block):
     with mock.patch.object(interferometer, "PORT_BLOCK", block):
         long_arm, slices = route(stream, cfg, np.random.default_rng(seed))
         slices = list(slices)
-    want_long = np.random.default_rng(seed).random(len(stream)) < cfg.arm_prob_long
+    want_long = np.random.default_rng(seed).random(len(stream)) < 0.5
     arrival = stream.emission_times + cfg.delta_t * want_long
     order = np.argsort(arrival, kind="stable")
     _assert_same_bits(long_arm, want_long)
@@ -684,10 +682,9 @@ def _assert_blocks_equal_int8_port_split(stream, cfg, p, seed, block):
     seed=SEEDS,
     delta_t=st.sampled_from([0.0, 4.6, 100.0]),
     block=st.sampled_from([1, 2, 7]),
-    arm_prob_long=st.sampled_from([0.5, 0.0, 1.0]),
 )
-def test_arrival_order_blocks_equal_stable_argsort(stream, seed, delta_t, block, arm_prob_long):
-    cfg = InterferometerConfig(delta_t=delta_t, arm_prob_long=arm_prob_long)
+def test_arrival_order_blocks_equal_stable_argsort(stream, seed, delta_t, block):
+    cfg = InterferometerConfig(delta_t=delta_t)
     _assert_blocks_equal_stable_argsort(stream, cfg, seed, block)
 
 
