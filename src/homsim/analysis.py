@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherence import FWHM_TO_SIGMA, MAX_IRF_STEPS, EmitterParams, convolve_irf, g2_source, visibility
+from .coherence import FWHM_TO_SIGMA, MAX_IRF_STEPS, EmitterParams, convolve_irf, g2_source, overlap_sq, visibility
 from .detection import DetectionConfig, normalize
 from .histogram import CorrelationHistogram
 
@@ -30,12 +30,7 @@ _BOUNDS = {
     "background": (0.0, 0.45),
 }
 
-# the fit's first start; the other three scale it by exp(a row of _RESTARTS),
-# default_rng(0).normal(0, 0.15, 4) draws fixed here to keep numpy.random out
 _START = (0.3, 0.5, 0.6, 0.08)
-_RESTARTS = np.array([[0.018859533164008995, -0.019815729493695283, 0.0960633975664923, 0.015735017572955954],
-                      [-0.08035040597416664, 0.054239258236422706, 0.19560000676952058, 0.1420621444693863],
-                      [-0.10556028537104889, -0.18981322065690787, -0.09349116938060283, 0.00619889690208654]])
 
 
 @dataclass
@@ -160,7 +155,7 @@ def hom_model(centers, bin_width, gamma_spon, delta_t, irf_fwhm):
         p = EmitterParams(gamma_spon=gamma_spon, gamma_pure=gamma_pure, w_p=w_p)
         g = g2_source(delays, p)
         base = 0.5 * g[0] + 0.25 * g[1] + 0.25 * g[2]
-        kernel = 0.5 * contrast * np.exp(-(gamma_spon + 2.0 * gamma_pure) * abs_grid)
+        kernel = 0.5 * contrast * overlap_sq(abs_grid, p)
         both = np.array([base - kernel, base])
         if irf_fwhm > 0:
             both = convolve_irf(grid, both, irf_fwhm)
@@ -189,9 +184,9 @@ def fit_hom_model(
 
     gamma_spon is held fixed; gamma_pure, w_p and the background are shared
     between the curves while the interference contrast enters the parallel
-    one only.  Levenberg-Marquardt within _BOUNDS from _START and its three
-    fixed restarts keeps the lowest rss; the errors come from the Jacobian at
-    that point.  The model assumes a balanced splitter.
+    one only.  Levenberg-Marquardt runs once within _BOUNDS from _START, and
+    converged is its own flag; the errors come from the Jacobian at the
+    point it ends on.  The model assumes a balanced splitter.
     """
     _normalized_pair(h_par, h_orth)
 
@@ -217,17 +212,7 @@ def fit_hom_model(
         m_par, m_orth = model(x[0], x[1], x[2], x[3])
         return np.concatenate([(d_par - m_par) / s_par, (d_orth - m_orth) / s_orth])
 
-    x0 = np.array(_START)
-    best = None
-    converged = False
-    for trial in range(4):
-        start = x0 if trial == 0 else np.clip(x0 * np.exp(_RESTARTS[trial - 1]), lo + 1e-9, hi - 1e-9)
-        x, rss, ok = _levenberg_marquardt(residuals, start, lo, hi)
-        if best is None or rss < best[1]:
-            best = (x, rss)
-        converged = converged or ok
-
-    x, rss = best
+    x, rss, converged = _levenberg_marquardt(residuals, _START, lo, hi)
     stderr = _curvature_stderr(_jacobian(residuals, x, residuals(x), hi))
 
     # the tau = 0 bin, with enough bins either side that the IRF kernel

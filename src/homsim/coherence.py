@@ -74,13 +74,17 @@ class BeamSplitterConfig:
             raise ValueError("mode_match must lie in [0, 1]")
 
     @property
+    def intensity_split(self):
+        """(cos^2 theta, sin^2 theta): the transmission and the reflection."""
+        return math.cos(self.theta) ** 2, math.sin(self.theta) ** 2
+
+    @property
     def interference_weight(self):
         """w = sin^2 cos^2 / (cos^4 + sin^4), the scale of the Monte Carlo's
         bunching probability q = 2 w M exp(-2 gamma_pure |u_a - u_b|).  Only
         pairs drawn to opposite ports (cos^4 + sin^4) lose a coincidence, so
         g2_34's interference term is 2 sin^2 cos^2 M g1^2."""
-        c2 = math.cos(self.theta) ** 2
-        s2 = math.sin(self.theta) ** 2
+        c2, s2 = self.intensity_split
         return s2 * c2 / (c2 * c2 + s2 * s2)
 
 
@@ -111,8 +115,7 @@ def g2_34(tau, p: EmitterParams, bs: BeamSplitterConfig, pol: str):
     w M g1(tau)^2.  For a balanced splitter w and c^4 + s^4 are both exactly
     0.5.
     """
-    c2 = math.cos(bs.theta) ** 2
-    s2 = math.sin(bs.theta) ** 2
+    c2, s2 = bs.intensity_split
     w = 2.0 * s2 * c2
     base = w * g2_source(tau, p) + (c2 * c2 + s2 * s2)
     if pol == "orthogonal":

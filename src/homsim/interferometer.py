@@ -260,7 +260,7 @@ def interfere_stream(stream: PhotonStream, cfg: InterferometerConfig, p: Emitter
     """
     long_arm, arrival_order = route(stream, cfg, rng)
     n = len(long_arm)
-    c2, s2 = math.cos(cfg.bs.theta) ** 2, math.sin(cfg.bs.theta) ** 2
+    c2, s2 = cfg.bs.intensity_split
     pairing = cfg.pol_mode == "parallel" and cfg.pairing == "weighted" and cfg.bs.mode_match > 0 and n > 1
     # port 3 with probability sin^2 (long arm) or cos^2 (short arm): uniforms
     # drawn a slice of the arrival order at a time are the doubles of one

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from homsim import BeamSplitterConfig, EmitterParams
+from homsim import BeamSplitterConfig, EmitterParams, analysis, normalize, run_replicas
+from homsim.pipeline import default_run_config
 
 
 @pytest.fixture
@@ -26,3 +28,16 @@ def balanced_splitter():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="session")
+def small_pair():
+    # a Monte Carlo parallel/orthogonal pair at the default run config,
+    # normalized and rebinned by 2 as analyze does
+    hists = []
+    for pol, seed in (("parallel", 21), ("orthogonal", 22)):
+        rc = default_run_config()
+        rc = dataclasses.replace(rc, interferometer=dataclasses.replace(rc.interferometer, pol_mode=pol), seed=seed)
+        _, h = run_replicas(rc)
+        hists.append(analysis.rebin(normalize(h, rc.norm_region), 2))
+    return hists

@@ -24,6 +24,7 @@ from homsim import (
 from homsim import analysis
 from homsim.analysis import _levenberg_marquardt, hom_model, hom_model_curves
 from homsim.coherence import visibility
+from homsim.pipeline import default_run_config
 
 T2_B = 2.88135593220338983
 
@@ -176,48 +177,9 @@ def _synthetic_pair(gamma_pure, w_p, contrast, background, scale=2e6):
     return out[0], out[1], det
 
 
-def test_fit_recovers_noise_free_synthetic():
-    h_par, h_orth, det = _synthetic_pair(0.3, 2.0, 0.6, 0.08)
-    fit = fit_hom_model(h_par, h_orth, 1 / 3.4, det, 4.6)
-    assert fit.converged
-    assert fit.gamma_pure_hat == pytest.approx(0.3, abs=2e-3)
-    assert fit.w_p_hat == pytest.approx(2.0, abs=2e-2)
-    assert fit.contrast_hat == pytest.approx(0.6, abs=5e-3)
-    assert fit.background_hat == pytest.approx(0.08, abs=5e-3)
-    assert fit.t2_hat == pytest.approx(1.0 / (0.5 / 3.4 + fit.gamma_pure_hat), rel=1e-12)
-    for s in (fit.stderr_gamma_pure, fit.stderr_w_p, fit.stderr_contrast, fit.stderr_background):
-        assert np.isfinite(s) and s > 0
-    assert fit.n_evaluations > 100
-    # v0_hat is the tau = 0 bin of the fitted model on a grid wide enough
-    # that the IRF never reaches its edges
-    wide = det.bin_width * np.arange(-20, 21)
-    m_par, m_orth = hom_model_curves(
-        wide, det.bin_width, 1 / 3.4, fit.gamma_pure_hat, fit.w_p_hat, fit.contrast_hat, fit.background_hat,
-        4.6, det.irf_fwhm_pair,
-    )
-    assert fit.v0_hat == pytest.approx(visibility(m_par[20], m_orth[20]), rel=1e-12)
-
-
-@pytest.mark.parametrize(
-    "truth",
-    [
-        (0.2, 6.5, 0.7, 0.05),  # the paper's operating point
-        (2.0, 20.0, 0.3, 0.3),  # strong dephasing
-        (0.0, 2.0, 1.0, 0.0),  # gamma_pure, contrast and background at a bound
-        (5.0, 50.0, 0.2, 0.45),  # gamma_pure, w_p and background at a bound
-    ],
-)
-def test_fit_recovers_noise_free_points(truth):
-    h_par, h_orth, det = _synthetic_pair(*truth)
-    fit = fit_hom_model(h_par, h_orth, 1 / 3.4, det, 4.6)
-    assert fit.converged
-    x = [fit.gamma_pure_hat, fit.w_p_hat, fit.contrast_hat, fit.background_hat]
-    np.testing.assert_allclose(x, truth, rtol=1e-4, atol=5e-5)
-
-
-def test_fit_at_bound_corner_probes_inside_box():
-    h_par, h_orth, det = _synthetic_pair(0.0, 2.0, 1.0, 0.0)
-    probes = []
+def _recording_model(probes):
+    """analysis.hom_model whose curves append each parameter vector they are
+    called with to probes."""
     build = analysis.hom_model
 
     def recording(*geometry):
@@ -229,15 +191,63 @@ def test_fit_at_bound_corner_probes_inside_box():
 
         return recorded
 
-    with mock.patch.object(analysis, "hom_model", recording):
+    return recording
+
+
+def test_fit_recovers_noise_free_synthetic():
+    h_par, h_orth, det = _synthetic_pair(0.3, 2.0, 0.6, 0.08)
+    probes = []
+    with mock.patch.object(analysis, "hom_model", _recording_model(probes)):
+        fit = fit_hom_model(h_par, h_orth, 1 / 3.4, det, 4.6)
+    assert fit.converged
+    assert fit.gamma_pure_hat == pytest.approx(0.3, abs=2e-3)
+    assert fit.w_p_hat == pytest.approx(2.0, abs=2e-2)
+    assert fit.contrast_hat == pytest.approx(0.6, abs=5e-3)
+    assert fit.background_hat == pytest.approx(0.08, abs=5e-3)
+    assert fit.t2_hat == pytest.approx(1.0 / (0.5 / 3.4 + fit.gamma_pure_hat), rel=1e-12)
+    for s in (fit.stderr_gamma_pure, fit.stderr_w_p, fit.stderr_contrast, fit.stderr_background):
+        assert np.isfinite(s) and s > 0
+    # every model call is a residuals call but v0_hat's
+    assert len(probes) == fit.n_evaluations + 1
+    # v0_hat is the tau = 0 bin of the fitted model on a grid wide enough
+    # that the IRF never reaches its edges
+    wide = det.bin_width * np.arange(-20, 21)
+    m_par, m_orth = hom_model_curves(
+        wide, det.bin_width, 1 / 3.4, fit.gamma_pure_hat, fit.w_p_hat, fit.contrast_hat, fit.background_hat,
+        4.6, det.irf_fwhm_pair,
+    )
+    assert fit.v0_hat == pytest.approx(visibility(m_par[20], m_orth[20]), rel=1e-12)
+
+
+NOISE_FREE_TRUTHS = [
+    (0.2, 6.5, 0.7, 0.05),  # the paper's operating point
+    (2.0, 20.0, 0.3, 0.3),  # strong dephasing
+    (0.0, 2.0, 1.0, 0.0),  # gamma_pure, contrast and background at a bound
+    (5.0, 50.0, 0.2, 0.45),  # gamma_pure, w_p and background at a bound
+]
+
+
+@pytest.mark.parametrize("truth", NOISE_FREE_TRUTHS)
+def test_fit_recovers_noise_free_points(truth):
+    h_par, h_orth, det = _synthetic_pair(*truth)
+    fit = fit_hom_model(h_par, h_orth, 1 / 3.4, det, 4.6)
+    assert fit.converged
+    x = [fit.gamma_pure_hat, fit.w_p_hat, fit.contrast_hat, fit.background_hat]
+    np.testing.assert_allclose(x, truth, rtol=1e-4, atol=5e-5)
+
+
+def test_fit_at_bound_corner_probes_inside_box():
+    h_par, h_orth, det = _synthetic_pair(0.0, 2.0, 1.0, 0.0)
+    probes = []
+    with mock.patch.object(analysis, "hom_model", _recording_model(probes)):
         fit = fit_hom_model(h_par, h_orth, 1 / 3.4, det, 4.6)
     assert fit.converged
     assert fit.n_evaluations < 1000
     # the case at hand: the fit ends on the contrast and background bounds
     assert 1.0 - fit.contrast_hat <= 1e-9 and fit.background_hat <= 1e-9
-    # every parameter vector that reaches the model, the solver's and the
-    # error estimate's Jacobian columns included, lies inside the box
-    assert len(probes) >= fit.n_evaluations
+    # every parameter vector that reaches the model, the solver's, the error
+    # estimate's Jacobian columns and v0_hat's included, lies inside the box
+    assert len(probes) == fit.n_evaluations + 1
     names = ("gamma_pure", "w_p", "contrast", "background")
     assert all(analysis._BOUNDS[k][0] <= v <= analysis._BOUNDS[k][1] for x in probes for k, v in zip(names, x))
     for s in (fit.stderr_gamma_pure, fit.stderr_w_p, fit.stderr_contrast, fit.stderr_background):
@@ -267,11 +277,31 @@ def test_curvature_stderr_is_gauss_newton():
     assert all(math.isnan(s) for s in analysis._curvature_stderr(np.zeros((3, 2))))
 
 
-def test_restart_offsets_are_the_seed_0_draws():
-    # the fit's restarts are constants, so it builds no generator; they are
-    # bit for bit the three draws it used to take from one
+@pytest.mark.parametrize("truth", NOISE_FREE_TRUTHS + ["monte_carlo"])
+def test_fit_minimum_does_not_depend_on_start(truth, request):
+    # the fit runs once from _START; from each of three other starts (log
+    # offsets drawn from default_rng(0).normal(0, 0.15, 4), clipped into the
+    # box) it must reach the same minimum, or the single start misses one
+    if truth == "monte_carlo":
+        h_par, h_orth = request.getfixturevalue("small_pair")
+        det = default_run_config().detection
+    else:
+        h_par, h_orth, det = _synthetic_pair(*truth)
+    names = ("gamma_pure", "w_p", "contrast", "background")
+    lo = np.array([analysis._BOUNDS[k][0] for k in names])
+    hi = np.array([analysis._BOUNDS[k][1] for k in names])
+    ref = fit_hom_model(h_par, h_orth, 1 / 3.4, det, 4.6)
+    assert ref.converged
     rng = np.random.default_rng(0)
-    assert np.array_equal(analysis._RESTARTS, [rng.normal(0, 0.15, 4) for _ in range(3)])
+    for _ in range(3):
+        start = np.clip(np.array(analysis._START) * np.exp(rng.normal(0, 0.15, 4)), lo + 1e-9, hi - 1e-9)
+        with mock.patch.object(analysis, "_START", tuple(start)):
+            fit = fit_hom_model(h_par, h_orth, 1 / 3.4, det, 4.6)
+        assert fit.converged
+        for k in names:
+            got, want = getattr(fit, k + "_hat"), getattr(ref, k + "_hat")
+            assert abs(got - want) <= 1e-4 * getattr(ref, "stderr_" + k), k
+        assert fit.rss == pytest.approx(ref.rss, rel=1e-9)
 
 
 def test_fit_scale_invariance():

@@ -284,8 +284,8 @@ def test_analyze_runs_without_scipy(tmp_path):
 
 
 def test_analyze_leaves_numpy_random_unloaded(tmp_path):
-    # the fit's restarts are constants: analyze never imports numpy.random
-    # and its import chain (secrets, hashlib, hmac, ...)
+    # the fit draws nothing: analyze never imports numpy.random and its
+    # import chain (secrets, hashlib, hmac, ...)
     edges = homsim.make_bin_edges(-24.99, 24.99, 0.21)
     centers = 0.5 * (edges[:-1] + edges[1:])
     curves = hom_model_curves(centers, 0.21, 1 / 3.4, 0.2, 6.5, 0.7, 0.05, 4.6, 0.42)

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from homsim import analysis, emitter, fileio, interferometer
 from homsim.coherence import FWHM_TO_SIGMA, BeamSplitterConfig, EmitterParams, convolve_irf, g2_source
-from homsim.detection import CHANNELS, DetectionConfig, _dead_time_filter, apply_detector, normalize, tac_mca_histogram
+from homsim.detection import CHANNELS, DetectionConfig, _dead_time_filter, apply_detector, tac_mca_histogram
 from homsim.emitter import PhotonStream, simulate_emission_stream
 from homsim.histogram import make_bin_edges, window_pairs
 from homsim.interferometer import (
@@ -840,17 +840,6 @@ def test_convolve_irf_equals_padded_convolution(data, n, rows, step, start, fwhm
         else:
             np.testing.assert_array_equal(got[r], want)
             np.testing.assert_array_equal(convolve_irf(tau, values[r], fwhm), want)
-
-
-@pytest.fixture(scope="module")
-def small_pair():
-    hists = []
-    for pol, seed in (("parallel", 21), ("orthogonal", 22)):
-        rc = default_run_config()
-        rc = dataclasses.replace(rc, interferometer=dataclasses.replace(rc.interferometer, pol_mode=pol), seed=seed)
-        _, h = run_replicas(rc)
-        hists.append(analysis.rebin(normalize(h, rc.norm_region), 2))
-    return hists
 
 
 def test_fit_with_per_call_model_is_bit_equal(small_pair):
