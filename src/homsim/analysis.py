@@ -212,8 +212,8 @@ def fit_hom_model(
         m_par, m_orth = model(x[0], x[1], x[2], x[3])
         return np.concatenate([(d_par - m_par) / s_par, (d_orth - m_orth) / s_orth])
 
-    x, rss, converged = _levenberg_marquardt(residuals, _START, lo, hi)
-    stderr = _curvature_stderr(_jacobian(residuals, x, residuals(x), hi))
+    x, r, rss, converged = _levenberg_marquardt(residuals, _START, lo, hi)
+    stderr = _curvature_stderr(_jacobian(residuals, x, r, hi))
 
     # the tau = 0 bin, with enough bins either side that the IRF kernel
     # never reaches the grid's edge padding
@@ -247,9 +247,9 @@ def _levenberg_marquardt(residuals, x0, lo, hi):
     points out of the box is held there for the step; the damped system
     solves (J'J + lam diag) delta = -J'r, its diagonal floored so that a flat
     column cannot make it singular, and the trial point is clipped to the
-    box.  Returns (x, rss, converged): converged when an accepted step lowers
-    the rss by at most 1e-12 relative, or when no step lowers it at all,
-    within 200 iterations.
+    box.  Returns (x, r, rss, converged) with r = residuals(x): converged
+    when an accepted step lowers the rss by at most 1e-12 relative, or when
+    no step lowers it at all, within 200 iterations.
     """
     x = np.array(x0, dtype=float)
     r = residuals(x)
@@ -260,7 +260,7 @@ def _levenberg_marquardt(residuals, x0, lo, hi):
         grad = jac.T @ r
         free = ~(((x <= lo) & (grad > 0)) | ((x >= hi) & (grad < 0)))
         if not np.any(grad[free]):
-            return x, rss, True
+            return x, r, rss, True
         a = (jac.T @ jac)[np.ix_(free, free)]
         damp = np.diag(np.maximum(np.diag(a), 1e-12 * np.trace(a)))
         while True:
@@ -273,12 +273,12 @@ def _levenberg_marquardt(residuals, x0, lo, hi):
                 break
             lam *= 10.0
             if lam > 1e10:
-                return x, rss, True
+                return x, r, rss, True
         done = rss - rss_trial <= 1e-12 * rss
         x, r, rss, lam = trial, r_trial, rss_trial, lam / 10.0
         if done:
-            return x, rss, True
-    return x, rss, False
+            return x, r, rss, True
+    return x, r, rss, False
 
 
 def _jacobian(residuals, x, r, hi):

@@ -48,8 +48,8 @@ def route(stream: PhotonStream, cfg: InterferometerConfig, rng):
     coherence.g2_34 assumes; the long arm adds exactly delta_t.
 
     Returns (long_arm, arrival_order): the arm flags in emission order, and a
-    generator of consecutive (indices, arrivals) slices of the stream in
-    stable arrival order, so no photon-sized permutation is built.
+    generator of consecutive index slices of the stream in stable arrival
+    order, so no photon-sized permutation is built.
     """
     n = len(stream)
     long_arm = np.empty(n, dtype=bool)
@@ -67,8 +67,8 @@ def _arrival(delta_t, long_arm, emission_times):
 
 
 def _arrival_order(emission_times, long_arm, delta_t):
-    """Yield (indices, arrivals) slices whose concatenation is the stream in
-    np.argsort(arrival, kind="stable") order, walking emission-order blocks.
+    """Yield index slices whose concatenation is np.argsort(arrival,
+    kind="stable") of the stream, walking emission-order blocks.
 
     A photon emitted at or after emission_times[stop] arrives no earlier, and
     has a larger index, so the photons seen so far that arrive by then
@@ -86,7 +86,7 @@ def _arrival_order(emission_times, long_arm, delta_t):
         carry, carry_arr = idx[late], arr[late]
         # the late photons arrive after every released one: they sort last
         o = np.argsort(arr, kind="stable")[: len(arr) - len(carry)]
-        yield idx[o], arr[o]
+        yield idx[o]
 
 
 def bunching_probability(u_a, u_b, arr_a, arr_b, gamma_pure, bs: BeamSplitterConfig):
@@ -256,41 +256,29 @@ def interfere_stream(stream: PhotonStream, cfg: InterferometerConfig, p: Emitter
 
     Returns {3: times, 4: times}, detection instants per output port, sorted.
     Interference only moves opposite-port pairs to a common port; singles
-    rates and totals are preserved.
+    rates and totals are preserved.  Photons are numbered by emission index
+    throughout: the exclusive matching does not depend on the numbering.
     """
     long_arm, arrival_order = route(stream, cfg, rng)
     n = len(long_arm)
     c2, s2 = cfg.bs.intensity_split
-    pairing = cfg.pol_mode == "parallel" and cfg.pairing == "weighted" and cfg.bs.mode_match > 0 and n > 1
     # port 3 with probability sin^2 (long arm) or cos^2 (short arm): uniforms
     # drawn a slice of the arrival order at a time are the doubles of one
-    # rng.random(n).  Only the pair search needs the whole arrival order.
+    # rng.random(n)
     port3 = np.empty(n, dtype=bool)
-    if pairing:
-        arrival, order = np.empty(n), np.empty(n, dtype=np.int64)
-    pos = 0
-    for o, arr in arrival_order:
+    for o in arrival_order:
         r = rng.random(len(o))
         port3[o] = np.where(long_arm[o], r < s2, r < c2)
-        if pairing:
-            arrival[o] = arr
-            order[pos : pos + len(o)] = o
-            pos += len(o)
-    o = arr = r = None  # the last slice and its uniforms, a block each, would live through the ports' fill
+    o = r = None  # the last slice and its uniforms, a block each, would live through the ports' fill
 
-    if pairing:
+    if cfg.pol_mode == "parallel" and cfg.pairing == "weighted" and cfg.bs.mode_match > 0 and n > 1:
+        arrival = _arrival(cfg.delta_t, long_arm, stream.emission_times)
         a_idx, b_idx, q = _candidate_pairs(arrival, stream.envelope_delays, long_arm, p, cfg.bs, 10.0 / p.gamma_spon)
         del arrival  # the matcher runs with one photon-sized array fewer
-        # the matcher numbers photons by arrival rank, which its survival sums' bits follow
-        rank = np.empty_like(order)
-        rank[order] = np.arange(n)
-        a_idx, b_idx = rank[a_idx], rank[b_idx]
-        del rank
         a_o, b_o, acc = match_pairs(n, a_idx, b_idx, q, rng)
         det = rng.random(len(a_o)) < 0.5  # the common port: 3 if True
-        port3[order[a_o[acc]]] = det[acc]
-        port3[order[b_o[acc]]] = det[acc]
-        del order
+        port3[a_o[acc]] = det[acc]
+        port3[b_o[acc]] = det[acc]
 
     # the detection instants, arrival plus envelope delay, filled a block of
     # emission order at a time into each port's array, then sorted in place:

@@ -261,12 +261,12 @@ def test_fit_rank_deficient_does_not_raise():
     fit = fit_hom_model(h_par, h_orth, 1 / 3.4, det, 4.6, fit_window=0.11)
     assert all(math.isfinite(v) for v in (fit.gamma_pure_hat, fit.w_p_hat, fit.contrast_hat, fit.background_hat, fit.rss))
     # a parameter the residuals ignore gives a zero Jacobian column
-    x, rss, converged = _levenberg_marquardt(
+    x, r, rss, converged = _levenberg_marquardt(
         lambda x: np.array([x[0] - 0.5, 2.0 * (x[0] - 0.5)]), np.array([0.1, 0.3]), np.zeros(2), np.ones(2)
     )
     assert converged
     assert x[0] == pytest.approx(0.5, abs=1e-9) and x[1] == 0.3
-    assert rss < 1e-15
+    assert rss < 1e-15 and rss == float(r @ r)
 
 
 def test_curvature_stderr_is_gauss_newton():

@@ -234,7 +234,8 @@ def _interfere_stream_int8(stream, cfg, p, rng):
     # the routed stream gathered into arrival order (an argsort and three
     # gathers), one uniform per photon in one draw, an int8 port per photon
     # through a nested np.where, the window-expansion pair search and
-    # default-kind sorts
+    # default-kind sorts; the matcher gets emission indices, as in
+    # interfere_stream, so its survival sums add in the same order
     long_arm = rng.random(len(stream)) < 0.5
     arrival = stream.emission_times + cfg.delta_t * long_arm
     order = np.argsort(arrival, kind="stable")
@@ -247,10 +248,12 @@ def _interfere_stream_int8(stream, cfg, p, rng):
     ch = np.where(np.where(long_arm, r < s2, r < c2), np.int8(3), np.int8(4))
     if cfg.pol_mode == "parallel" and cfg.pairing == "weighted" and cfg.bs.mode_match > 0 and n > 1:
         a_idx, b_idx, q = _candidate_pairs_window(arrival, env, long_arm, p, cfg.bs, 10.0 / p.gamma_spon)
-        a_o, b_o, acc = match_pairs(n, a_idx, b_idx, q, rng)
+        a_o, b_o, acc = match_pairs(n, order[a_idx], order[b_idx], q, rng)
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.arange(n)
         det = np.where(rng.random(len(a_o)) < 0.5, 3, 4).astype(np.int8)
-        ch[a_o[acc]] = det[acc]
-        ch[b_o[acc]] = det[acc]
+        ch[rank[a_o[acc]]] = det[acc]
+        ch[rank[b_o[acc]]] = det[acc]
     return {3: np.sort(u[ch == 3]), 4: np.sort(u[ch == 4])}
 
 
@@ -461,10 +464,8 @@ def test_candidate_pairs_equals_window_expansion(routed, gamma_pure, mode_match,
 def test_candidate_pairs_equals_window_expansion_on_a_run():
     rc = default_run_config()
     stream = simulate_emission_stream(rc.emitter, 2e5, 4)
-    long_arm, slices = route(stream, rc.interferometer, np.random.default_rng(4))
-    arrival = np.empty(len(stream))
-    for o, arr in slices:
-        arrival[o] = arr
+    long_arm, _ = route(stream, rc.interferometer, np.random.default_rng(4))
+    arrival = interferometer._arrival(rc.interferometer.delta_t, long_arm, stream.emission_times)
     window = 10.0 / rc.emitter.gamma_spon
     routed = arrival, stream.envelope_delays, long_arm
     assert _assert_same_candidates(routed, rc.emitter, rc.interferometer.bs, window) > 10_000
@@ -666,8 +667,7 @@ def _assert_blocks_equal_stable_argsort(stream, cfg, seed, block):
     order = np.argsort(arrival, kind="stable")
     _assert_same_bits(long_arm, want_long)
     assert len(slices) == -(-len(stream) // block)  # one slice per emission block
-    _assert_same_bits(np.concatenate([np.zeros(0, dtype=np.int64)] + [o for o, _ in slices]), order)
-    _assert_same_bits(np.concatenate([np.zeros(0)] + [a for _, a in slices]), arrival[order])
+    _assert_same_bits(np.concatenate([np.zeros(0, dtype=np.int64)] + slices), order)
 
 
 def _assert_blocks_equal_int8_port_split(stream, cfg, p, seed, block):
