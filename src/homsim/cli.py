@@ -1,7 +1,7 @@
 """Command line interface: analytic curves, simulation, analysis, selftest.
 
-Exit codes: 0 success, 2 usage error, 3 runtime or data error, 4 selftest
-failure.
+Exit codes: 0 success, 2 usage error, 3 runtime or data error (a request
+for more memory than the machine can give included), 4 selftest failure.
 """
 
 from __future__ import annotations
@@ -15,9 +15,7 @@ import numpy as np
 
 from . import analysis, coherence, detection, fileio, pipeline, selftest
 from .coherence import BeamSplitterConfig, EmitterParams
-
-# largest --tau-max-ns / --tau-step-ns: 2,000,001 samples per analytic curve
-MAX_TAU_STEPS = 1_000_000
+from .histogram import MAX_BINS
 
 
 def _add_emitter_flags(sub, gamma_spon, gamma_pure, wp):
@@ -83,8 +81,8 @@ def cmd_analytic(args):
         raise ValueError("--tau-max-ns and --tau-step-ns must be positive and finite, and so must their ratio")
     n = max(int(round(tau_max / step)), 1)
     # checked before any curve is built: a huge ratio would not fail fast
-    if n > MAX_TAU_STEPS:
-        raise ValueError("--tau-max-ns / --tau-step-ns is %.3g; it may be at most %d" % (tau_max / step, MAX_TAU_STEPS))
+    if n > MAX_BINS:
+        raise ValueError("--tau-max-ns / --tau-step-ns is %.3g; it may be at most %d" % (tau_max / step, MAX_BINS))
     tau = (np.arange(2 * n + 1) - n) * (tau_max / n)
 
     curves = {
@@ -178,7 +176,7 @@ def main(argv=None):
         return 0 if e.code in (0, None) else int(e.code)
     try:
         return args.func(args)
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, MemoryError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 3
 

@@ -164,11 +164,11 @@ def _shortest_digits(x):
     """For x in [1, 1e15): repr's digits of x as a 17-digit integer padded
     with zeros, how many of them precede the decimal point, how many there
     are, and whether the row is certified."""
-    k = 16 - np.floor(np.log10(x)).astype(np.int64)
+    # the decade, exactly: _POW10[16 - k] <= x < _POW10[17 - k], so y lies in [1e16, 1e17)
+    k = 16 - (np.searchsorted(_POW10, x, side="right") - 1)
     y, frac = _scale(x, k)
     half = np.spacing(x) * 0.5 * _POW10[k]  # exact: a power of two times 10**k
-    # y is out of range where log10 rounded across a power of ten
-    ok = (y >= _POW10_INT[16]) & (y < _POW10_INT[17]) & ((x.view(np.int64) & _MANTISSA) != 0)
+    ok = (x.view(np.int64) & _MANTISSA) != 0
     count = np.full(len(x), 17)
     live = np.flatnonzero(ok)
     for p in range(16, 0, -1):
@@ -245,8 +245,7 @@ def write_timetags(path, channels):
     back to repr when x lies outside [1, 1e15), when its mantissa is a
     power of two (the interval is lopsided), when a distance lies within
     2**-40 of the interval's edge (the edge reads back by half-even rules),
-    when two candidates tie, or when log10 misjudged k next to a power of
-    ten.
+    or when two candidates tie.
     """
     k = np.concatenate([np.full(len(channels[c]), i, dtype=np.int8) for i, c in enumerate((3, 4))])
     t = np.concatenate([np.asarray(channels[c], dtype=float) for c in (3, 4)])

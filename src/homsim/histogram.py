@@ -7,9 +7,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+MAX_BINS = 1_000_000  # the most bins of a correlation axis, and the most steps per side of analytic's
+
 
 def make_bin_edges(tau_min, tau_max, bin_width):
-    """Uniform bin edges over [tau_min, tau_max).
+    """Uniform bin edges over [tau_min, tau_max), at most MAX_BINS bins.
 
     bin_width must divide the range to within one part in 1e6.
     """
@@ -17,8 +19,10 @@ def make_bin_edges(tau_min, tau_max, bin_width):
         raise ValueError("tau_max must exceed tau_min")
     if bin_width <= 0:
         raise ValueError("bin_width must be positive")
-    span = tau_max - tau_min
-    n = span / bin_width
+    n = (tau_max - tau_min) / bin_width
+    if not n < MAX_BINS + 0.5:  # checked before any edge is built: a huge range would not fail fast
+        raise ValueError("tau_min %g, tau_max %g and bin_width %g make %.3g bins; at most %d are allowed"
+                         % (tau_min, tau_max, bin_width, n, MAX_BINS))
     n_round = round(n)
     if n_round < 1 or abs(n - n_round) > 1e-6 * n_round:
         raise ValueError(

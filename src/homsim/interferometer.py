@@ -44,19 +44,26 @@ class InterferometerConfig:
 
 
 def route(stream: PhotonStream, cfg: InterferometerConfig, rng):
-    """Send each photon through either arm with probability 1/2, as
-    coherence.g2_34 assumes; the long arm adds exactly delta_t.
+    """Draw each photon's path: either arm with probability 1/2, as
+    coherence.g2_34 assumes (the long arm adds exactly delta_t), then port 3
+    with probability sin^2 after the long arm or cos^2 after the short one.
 
-    Returns (long_arm, arrival_order): the arm flags in emission order, and a
-    generator of consecutive index slices of the stream in stable arrival
-    order, so no photon-sized permutation is built.
+    Returns (long_arm, port3), both in emission order.  The arm flags take
+    the first n uniforms and the port flags the next n, handed out in stable
+    arrival order a slice of _arrival_order at a time, so no photon-sized
+    permutation is built.
     """
     n = len(stream)
     long_arm = np.empty(n, dtype=bool)
     for start in range(0, n, PORT_BLOCK):  # consecutive draws: the doubles of one rng.random(n)
         flags = long_arm[start : start + PORT_BLOCK]
         np.less(rng.random(len(flags)), 0.5, out=flags)
-    return long_arm, _arrival_order(stream.emission_times, long_arm, cfg.delta_t)
+    c2, s2 = cfg.bs.intensity_split
+    port3 = np.empty(n, dtype=bool)
+    for o in _arrival_order(stream.emission_times, long_arm, cfg.delta_t):
+        r = rng.random(len(o))
+        port3[o] = np.where(long_arm[o], r < s2, r < c2)
+    return long_arm, port3
 
 
 def _arrival(delta_t, long_arm, emission_times):
@@ -255,22 +262,13 @@ def interfere_stream(stream: PhotonStream, cfg: InterferometerConfig, p: Emitter
     """Run the full stream through the interferometer.
 
     Returns {3: times, 4: times}, detection instants per output port, sorted.
-    Interference only moves opposite-port pairs to a common port; singles
-    rates and totals are preserved.  Photons are numbered by emission index
-    throughout: the exclusive matching does not depend on the numbering.
+    Each photon leaves by the port route drew for it, unless the exclusive
+    matching accepts it in a pair, which moves both photons to a common
+    port; singles rates and totals are preserved.  Photons are numbered by
+    emission index throughout: the matching does not depend on the numbering.
     """
-    long_arm, arrival_order = route(stream, cfg, rng)
+    long_arm, port3 = route(stream, cfg, rng)
     n = len(long_arm)
-    c2, s2 = cfg.bs.intensity_split
-    # port 3 with probability sin^2 (long arm) or cos^2 (short arm): uniforms
-    # drawn a slice of the arrival order at a time are the doubles of one
-    # rng.random(n)
-    port3 = np.empty(n, dtype=bool)
-    for o in arrival_order:
-        r = rng.random(len(o))
-        port3[o] = np.where(long_arm[o], r < s2, r < c2)
-    o = r = None  # the last slice and its uniforms, a block each, would live through the ports' fill
-
     if cfg.pol_mode == "parallel" and cfg.pairing == "weighted" and cfg.bs.mode_match > 0 and n > 1:
         arrival = _arrival(cfg.delta_t, long_arm, stream.emission_times)
         a_idx, b_idx, q = _candidate_pairs(arrival, stream.envelope_delays, long_arm, p, cfg.bs, 10.0 / p.gamma_spon)

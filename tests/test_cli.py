@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import homsim
-from homsim.cli import MAX_TAU_STEPS, main
+from homsim.cli import main
+from homsim.histogram import MAX_BINS
 from homsim.detection import tac_mca_histogram
 from homsim.analysis import hom_model_curves
 from homsim.fileio import read_config, read_histogram, read_timetags, write_histogram
@@ -198,6 +199,19 @@ def test_exit_codes(tmp_path, capsys):
         assert main(["simulate", "--config", str(removed), "--out", str(tmp_path / "bad")]) == 3
         err = capsys.readouterr().err
         assert "line 2" in err and key in err
+    # asking for more memory than any machine has is one error line, not a
+    # traceback: 2e12 bins are refused before any edge is built, and 1e16 ns
+    # of photons (22 PiB) lie past the 47-bit address space, so the request
+    # fails before a page is touched
+    huge = tmp_path / "huge.config.txt"
+    huge.write_text("tau_min = -1e12\ntau_max = 1e12\nbin_width = 1\n")
+    for flag, value, names in (("--config", str(huge), ("tau_min", "tau_max", "bin_width")),
+                               ("--duration-ns", "1e16", ())):
+        capsys.readouterr()
+        assert main(["simulate", flag, value, "--out", str(tmp_path / "bad")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert all(name in err for name in names)
     assert not list(tmp_path.glob("bad*"))
     for flag, value in (("--irf-fwhm-ns", "inf"), ("--irf-fwhm-ns", "nan")):
         assert main(["analytic", flag, value, "--out", str(tmp_path / "bad.csv")]) == 3
@@ -208,7 +222,7 @@ def test_exit_codes(tmp_path, capsys):
     assert "--irf-fwhm-ns" in err and "--tau-step-ns" in err
     # an infinite range, a point count that overflows or one past the bound
     # (checked before any curve is built) is bad input too
-    too_many = ["--tau-max-ns", "1", "--tau-step-ns", repr(1 / (MAX_TAU_STEPS + 1))]
+    too_many = ["--tau-max-ns", "1", "--tau-step-ns", repr(1 / (MAX_BINS + 1))]
     for tau in (["--tau-max-ns", "inf"], ["--tau-max-ns", "1e300", "--tau-step-ns", "1e-300"],
                 ["--tau-max-ns", "1e6", "--tau-step-ns", "1e-6"], too_many):
         assert main(["analytic", *tau, "--out", str(tmp_path / "bad.csv")]) == 3

@@ -32,10 +32,10 @@ def _itf(**kw):
 
 
 def _routed(stream, cfg, rng):
-    """route's arrival-order slices gathered: (long_arm, arrivals in emission
-    order, the arrival order, the slices)."""
-    long_arm, slices = route(stream, cfg, rng)
-    slices = list(slices)
+    """route's arms and the arrival-order walk over them gathered: (long_arm,
+    arrivals in emission order, the arrival order, the walk's slices)."""
+    long_arm, _ = route(stream, cfg, rng)
+    slices = list(interferometer._arrival_order(stream.emission_times, long_arm, cfg.delta_t))
     arrival = interferometer._arrival(cfg.delta_t, long_arm, stream.emission_times)
     return long_arm, arrival, np.concatenate(slices), slices
 
@@ -67,6 +67,25 @@ def test_route_arm_fraction_and_polarization(strong_dephasing):
     assert len(par[3]) == len(routed[3])
     for got, want in zip(par[3], routed[3]):
         np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("block", [7, interferometer.PORT_BLOCK])
+@pytest.mark.parametrize("theta", [math.pi / 4, 0.3])
+def test_route_draws_ports_in_arrival_order(strong_dephasing, theta, block):
+    # replay: the first n uniforms pick the arms, the next n the ports, handed
+    # to the photons in stable arrival order
+    stream = simulate_emission_stream(strong_dephasing, 3e3, seed=4)
+    cfg = _itf(bs=BeamSplitterConfig(theta=theta, mode_match=1.0))
+    with mock.patch.object(interferometer, "PORT_BLOCK", block):
+        long_arm, port3 = route(stream, cfg, np.random.default_rng(7))
+    rng = np.random.default_rng(7)
+    n = len(stream)
+    want_long = rng.random(n) < 0.5
+    r = np.empty(n)
+    r[np.argsort(stream.emission_times + 4.6 * want_long, kind="stable")] = rng.random(n)
+    np.testing.assert_array_equal(long_arm, want_long)
+    np.testing.assert_array_equal(port3, np.where(want_long, r < math.sin(theta) ** 2, r < math.cos(theta) ** 2))
+    assert n > 5 * 7 and 0 < np.count_nonzero(port3) < n
 
 
 def test_bunching_probability_frozen_example(balanced_splitter):
