@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from .coherence import INSTANTANEOUS, uniform_step
-from .histogram import CorrelationHistogram
+from .histogram import BLOCK, CorrelationHistogram
 from .pipeline import RunConfig, default_run_config
 
 # The run-config schema, one row per key in echo order: where the value
@@ -129,10 +129,6 @@ def write_config(path, rc: RunConfig):
         fh.write(format_config(rc))
 
 
-# rows per write in write_timetags: one byte buffer per block keeps the
-# writer's memory small next to the click arrays
-TAG_BLOCK = 65_536
-
 _POW10 = np.array([float(10**i) for i in range(17)])  # all exact: 5**16 < 2**53
 _POW10_INT = 10 ** np.arange(18, dtype=np.int64)
 # the four ASCII digits of 0..9999, one uint32 each
@@ -235,7 +231,7 @@ def write_timetags(path, channels):
 
     Each row is exactly b'%d,%r' % (channel, time).  repr gives the
     shortest digits that read back to the same float, so the tags read
-    back bit-identical.  numpy formats the rows in blocks of TAG_BLOCK, and
+    back bit-identical.  numpy formats the rows BLOCK at a time, and
     the result is exact: for x in [1, 1e15), y = x * 10**k lies in
     [1e16, 1e17) with k <= 16, so 10**k is exact and Dekker's two-product
     gives y exactly.  x's rounding interval is y +- spacing(x)/2 * 10**k,
@@ -251,19 +247,20 @@ def write_timetags(path, channels):
     t = np.concatenate([np.asarray(channels[c], dtype=float) for c in (3, 4)])
     order = np.argsort(t, kind="stable")
     k, t = k[order], t[order]
+    del order  # 8 bytes per tag that the write no longer needs
     with open(path, "wb") as fh:
         fh.write(b"channel,time_ns\n")
-        for s in range(0, len(t), TAG_BLOCK):
-            fh.write(_tag_rows(k[s : s + TAG_BLOCK], t[s : s + TAG_BLOCK]))
+        for s in range(0, len(t), BLOCK):
+            fh.write(_tag_rows(k[s : s + BLOCK], t[s : s + BLOCK]))
 
 
 def write_table(fh, header, columns):
     """The header row, then row i of every column (an array): the repr of its
     tolist() value, so floats read back bit-identical, or empty for a None
-    column.  Rows are formatted and written TAG_BLOCK at a time."""
+    column.  Rows are formatted and written BLOCK at a time."""
     fh.write(header + "\n")
-    for s in range(0, max(len(c) for c in columns if c is not None), TAG_BLOCK):
-        cells = [[""] * TAG_BLOCK if c is None else [repr(v) for v in c[s : s + TAG_BLOCK].tolist()] for c in columns]
+    for s in range(0, max(len(c) for c in columns if c is not None), BLOCK):
+        cells = [[""] * BLOCK if c is None else [repr(v) for v in c[s : s + BLOCK].tolist()] for c in columns]
         fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 

@@ -20,11 +20,10 @@ import numpy as np
 
 from .coherence import BeamSplitterConfig, EmitterParams
 from .emitter import PhotonStream
-from .histogram import window_pairs
+from .histogram import BLOCK, window_pairs
 
 # pairs whose bunching probability falls below this are never candidates
 Q_MIN = 1e-12
-PORT_BLOCK = 1 << 16  # photons per slice of the port draw, entries per block of the survival sums
 
 
 @dataclass(frozen=True)
@@ -55,8 +54,8 @@ def route(stream: PhotonStream, cfg: InterferometerConfig, rng):
     """
     n = len(stream)
     long_arm = np.empty(n, dtype=bool)
-    for start in range(0, n, PORT_BLOCK):  # consecutive draws: the doubles of one rng.random(n)
-        flags = long_arm[start : start + PORT_BLOCK]
+    for start in range(0, n, BLOCK):  # consecutive draws: the doubles of one rng.random(n)
+        flags = long_arm[start : start + BLOCK]
         np.less(rng.random(len(flags)), 0.5, out=flags)
     c2, s2 = cfg.bs.intensity_split
     port3 = np.empty(n, dtype=bool)
@@ -83,7 +82,7 @@ def _arrival_order(emission_times, long_arm, delta_t):
     carried, in index order, into the next block.
     """
     n = len(long_arm)
-    block = PORT_BLOCK
+    block = BLOCK
     carry, carry_arr = np.zeros(0, dtype=np.int64), np.zeros(0)
     for start in range(0, n, block):
         stop = min(start + block, n)
@@ -108,7 +107,7 @@ def bunching_probability(u_a, u_b, arr_a, arr_b, gamma_pure, bs: BeamSplitterCon
     """
     overlap = np.minimum(u_a, u_b) >= np.maximum(arr_a, arr_b)
     amp = 2.0 * bs.interference_weight * bs.mode_match
-    # damping first: one float temporary fewer is alive on a chunk of pairs
+    # damping first: one float temporary fewer is alive on a block of pairs
     return np.exp(-2.0 * gamma_pure * np.abs(u_a - u_b)) * overlap * amp
 
 
@@ -202,18 +201,18 @@ def _survival_products(a_o, b_o, q_o):
     np.cumsum(cs, out=cs)
     # cs - q, then minus its value at the group start: the second pass runs
     # from the end, so each group start is read before it is changed
-    blocks = range(0, 2 * m, PORT_BLOCK)
+    blocks = range(0, 2 * m, BLOCK)
     for s in blocks:
-        cs[s : s + PORT_BLOCK] -= np.take(q_o, so[s : s + PORT_BLOCK], mode="wrap")
+        cs[s : s + BLOCK] -= np.take(q_o, so[s : s + BLOCK], mode="wrap")
     for s in reversed(blocks):
-        cs[s : s + PORT_BLOCK] -= cs[key[s : s + PORT_BLOCK]]
+        cs[s : s + BLOCK] -= cs[key[s : s + BLOCK]]
     del key
     surv = np.empty(2 * m)
     surv[so] = np.subtract(1.0, cs, out=cs)
     return surv[:m] * surv[m:]
 
 
-def _candidate_pairs(arrival, envelope_delays, long_arm, p, bs, window, chunk=50_000):
+def _candidate_pairs(arrival, envelope_delays, long_arm, p, bs, window):
     """All opposite-arm pairs within the arrival window whose bunching
     probability is non-negligible.  Returns (a_idx, b_idx, q).
 
@@ -223,8 +222,8 @@ def _candidate_pairs(arrival, envelope_delays, long_arm, p, bs, window, chunk=50
     its own instant and starts where the running maximum of the short-arm
     instants reaches its arrival.  Only pairs whose q is zero are skipped, so
     the output is that of scoring every window pair.  Long-arm photons are
-    taken `chunk` at a time, which only partitions the work; about one in ten
-    window pairs overlaps at the experiment point, so a chunk's expansion is
+    taken BLOCK at a time, which only partitions the work; about one in ten
+    window pairs overlaps at the experiment point, so a block's expansion is
     small next to the stream and the matcher.
     """
     idx_long = np.flatnonzero(long_arm)
@@ -235,8 +234,8 @@ def _candidate_pairs(arrival, envelope_delays, long_arm, p, bs, window, chunk=50
     np.maximum.accumulate(reach_short, out=reach_short)
 
     out_a, out_b, out_q = [], [], []
-    for start in range(0, len(idx_long), chunk):
-        il = idx_long[start : start + chunk]
+    for start in range(0, len(idx_long), BLOCK):
+        il = idx_long[start : start + BLOCK]
         arr_l = arrival[il]
         lo = np.maximum(np.searchsorted(arr_short, arr_l - window, side="left"),
                         np.searchsorted(reach_short, arr_l, side="left"))
@@ -284,8 +283,8 @@ def interfere_stream(stream: PhotonStream, cfg: InterferometerConfig, p: Emitter
     n3 = int(np.count_nonzero(port3))
     out = {3: np.empty(n3), 4: np.empty(n - n3)}
     filled = {3: 0, 4: 0}
-    for start in range(0, n, PORT_BLOCK):
-        blk = slice(start, start + PORT_BLOCK)
+    for start in range(0, n, BLOCK):
+        blk = slice(start, start + BLOCK)
         u = _arrival(cfg.delta_t, long_arm[blk], stream.emission_times[blk])
         u += stream.envelope_delays[blk]
         for ch, sel in ((3, port3[blk]), (4, ~port3[blk])):

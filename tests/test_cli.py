@@ -1,14 +1,17 @@
 """Command-line entry points, exercised in process through cli.main."""
 
+import contextlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import homsim
+from homsim import histogram
 from homsim.cli import main
 from homsim.histogram import MAX_BINS
 from homsim.detection import tac_mca_histogram
@@ -116,6 +119,30 @@ def test_simulate_tags_recorrelate_to_histogram(tmp_path, config, flags):
     hist = read_histogram(tmp_path / "r.hist.csv")
     assert hist.total_counts > 0
     assert np.array_equal(tac_mca_histogram(tags, rc.detection).counts, hist.counts)
+
+
+@pytest.mark.parametrize("config, flags", [("", ["--pol", "parallel"]), (TAC_CONFIG, [])], ids=["parallel-full", "tac"])
+def test_simulate_does_not_depend_on_block_size(tmp_path, monkeypatch, capsys, config, flags):
+    # one run through every block loop (route's draws and walk, the pair
+    # search, the survival sums, the port fill, the correlator and both
+    # writers) at 7 entries per block, then at the default
+    cfg = tmp_path / "run.config.txt"
+    cfg.write_text(config)
+    users = [m for name, m in sys.modules.items() if name.startswith("homsim.") and hasattr(m, "BLOCK")]
+    assert {m.__name__ for m in users} >= {"homsim.histogram", "homsim.interferometer", "homsim.fileio"}
+    runs = []
+    for block in (7, histogram.BLOCK):
+        (tmp_path / str(block)).mkdir()
+        monkeypatch.chdir(tmp_path / str(block))
+        with contextlib.ExitStack() as stack:
+            for m in users:
+                stack.enter_context(mock.patch.object(m, "BLOCK", block))
+            assert main(["simulate", "--config", str(cfg), "--seed", "4", "--duration-ns", "20000", *flags,
+                         "--out", "r"]) == 0
+        outputs = [Path("r" + suffix).read_bytes() for suffix in (".hist.csv", ".tags.csv", ".config.txt")]
+        runs.append(outputs + [capsys.readouterr().out])
+    assert runs[0] == runs[1]
+    assert runs[1][1].count(b"\n") > 7 * 7
 
 
 def test_analyze_pipeline(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from homsim import (
     make_bin_edges,
     simulate_emission_stream,
 )
+from homsim import histogram
 from homsim.emitter import mean_cycle_time
 from homsim.histogram import pairwise_delay_counts
 
@@ -134,7 +136,8 @@ def test_pairwise_delay_counts_matches_bruteforce(rng):
     a = np.sort(rng.uniform(0, 50, 37))
     b = np.sort(rng.uniform(0, 50, 53))
     edges = make_bin_edges(-5.0, 5.0, 0.5)
-    got = pairwise_delay_counts(a, b, edges, chunk=7)
+    with mock.patch.object(histogram, "BLOCK", 7):
+        got = pairwise_delay_counts(a, b, edges)
     expect = np.zeros(len(edges) - 1, dtype=np.int64)
     for ta in a:
         for tb in b:

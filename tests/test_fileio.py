@@ -12,7 +12,6 @@ from homsim import CorrelationHistogram, HomFitResult, INSTANTANEOUS, default_ru
 from homsim.fileio import (
     CONFIG_FIELDS,
     RESULT_KEYS,
-    TAG_BLOCK,
     build_run_config,
     format_config,
     parse_config_text,
@@ -25,6 +24,7 @@ from homsim.fileio import (
     write_table,
     write_timetags,
 )
+from homsim.histogram import BLOCK
 
 
 def test_config_text_roundtrip():
@@ -222,7 +222,7 @@ def test_write_table_blocks_equal_one_join(rng):
     # rows are formatted a block at a time; over two block edges, with a
     # blank column and values repr spells differently, the bytes are those of
     # formatting every cell at once
-    n = 2 * TAG_BLOCK + 3
+    n = 2 * BLOCK + 3
     floats = rng.normal(0.0, 1e3, n)
     floats[:4] = [0.1, -0.0, 1e-300, np.nan]
     columns = [floats, rng.integers(-5, 10**12, n), None]

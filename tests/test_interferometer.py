@@ -17,7 +17,7 @@ from homsim import (
     route,
     simulate_emission_stream,
 )
-from homsim import interferometer
+from homsim import histogram, interferometer
 from homsim.interferometer import _candidate_pairs, _survival_products, match_pairs
 from homsim.pipeline import default_run_config
 
@@ -69,14 +69,14 @@ def test_route_arm_fraction_and_polarization(strong_dephasing):
         np.testing.assert_array_equal(got, want)
 
 
-@pytest.mark.parametrize("block", [7, interferometer.PORT_BLOCK])
+@pytest.mark.parametrize("block", [7, histogram.BLOCK])
 @pytest.mark.parametrize("theta", [math.pi / 4, 0.3])
 def test_route_draws_ports_in_arrival_order(strong_dephasing, theta, block):
     # replay: the first n uniforms pick the arms, the next n the ports, handed
     # to the photons in stable arrival order
     stream = simulate_emission_stream(strong_dephasing, 3e3, seed=4)
     cfg = _itf(bs=BeamSplitterConfig(theta=theta, mode_match=1.0))
-    with mock.patch.object(interferometer, "PORT_BLOCK", block):
+    with mock.patch.object(interferometer, "BLOCK", block):
         long_arm, port3 = route(stream, cfg, np.random.default_rng(7))
     rng = np.random.default_rng(7)
     n = len(stream)
@@ -180,9 +180,9 @@ def test_candidate_pairs_emission_order_equals_arrival_order(molecule):
     rank[order] = np.arange(len(order))
     assert not np.array_equal(rank, np.arange(len(rank)))
     bs = BeamSplitterConfig(theta=math.pi / 4, mode_match=0.7)
-    a, b, q = _candidate_pairs(arrival, stream.envelope_delays, long_arm, molecule, bs, 34.0, chunk=1000)
-    want = _candidate_pairs(arrival[order], stream.envelope_delays[order], long_arm[order], molecule, bs, 34.0,
-                            chunk=1000)
+    with mock.patch.object(interferometer, "BLOCK", 1000):
+        a, b, q = _candidate_pairs(arrival, stream.envelope_delays, long_arm, molecule, bs, 34.0)
+        want = _candidate_pairs(arrival[order], stream.envelope_delays[order], long_arm[order], molecule, bs, 34.0)
     assert len(q) > 100
     np.testing.assert_array_equal(rank[a], want[0])
     np.testing.assert_array_equal(rank[b], want[1])
@@ -278,12 +278,13 @@ def test_interfere_stream_conserves_and_reproduces(strong_dephasing):
                          ids=["orthogonal", "parallel"])
 def test_interfere_stream_peak_memory(molecule, pol_mode, arrays, blocks):
     # Orthogonal: the arm flags, the port flags and the two ports' instants,
-    # 1.25 photon-sized arrays, plus the block walk's temporaries, 2.85
-    # PORT_BLOCK-sized float arrays at this seed (1.92 photon-sized arrays in
-    # all); 3.85 (2.15) while the walk also yielded its arrivals.  A
-    # photon-sized arrival array, a global argsort and the instants before
-    # the port split peaked at 2.75.
-    # The parallel peak (6.11 at this seed) is the pair search's.  It was
+    # 1.25 photon-sized arrays, plus the block walk's temporaries, 2.39
+    # BLOCK-sized float arrays at this seed (1.53 photon-sized arrays in
+    # all; 2.85 and 1.92 at 65,536 entries per block); 3.85 (2.15) while
+    # the walk also yielded its arrivals.  A photon-sized arrival array, a
+    # global argsort and the instants before the port split peaked at 2.75.
+    # The parallel peak (5.62 at this seed; 6.11 when the pair search took
+    # 50,000 long-arm photons per block) is the pair search's.  It was
     # 7.11 while the arrival order lived through the pair search to number
     # the matcher's photons by arrival rank; the matcher's was 7.13 when it
     # gathered its own copy of the pairs, and 10.72 with a photon-sized
@@ -299,7 +300,7 @@ def test_interfere_stream_peak_memory(molecule, pol_mode, arrays, blocks):
     finally:
         tracemalloc.stop()
     assert len(stream) > 100_000
-    assert peak <= arrays * stream.emission_times.nbytes + blocks * 8 * interferometer.PORT_BLOCK
+    assert peak <= arrays * stream.emission_times.nbytes + blocks * 8 * interferometer.BLOCK
 
 
 def test_match_pairs_peak_memory(molecule):

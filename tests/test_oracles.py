@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homsim import analysis, emitter, fileio, interferometer
+from homsim import analysis, emitter, fileio, histogram, interferometer
 from homsim.coherence import FWHM_TO_SIGMA, BeamSplitterConfig, EmitterParams, convolve_irf, g2_source
 from homsim.detection import CHANNELS, DetectionConfig, _dead_time_filter, apply_detector, tac_mca_histogram
 from homsim.emitter import PhotonStream, simulate_emission_stream
@@ -404,7 +404,7 @@ def test_survival_products_groups_across_blocks():
     m = 100_000
     a_o, b_o = rng.integers(0, 3000, m), rng.integers(0, 3000, m)
     q = np.where(rng.random(m) < 0.5, rng.uniform(0.0, 1e-3, m), 10.0 ** rng.uniform(-12.0, -9.0, m))
-    assert 2 * m > 2 * interferometer.PORT_BLOCK
+    assert 2 * m > 2 * interferometer.BLOCK
     got = interferometer._survival_products(a_o, b_o, q)
     np.testing.assert_array_equal(got, _survival_products_loop(a_o, b_o, q))
 
@@ -412,9 +412,10 @@ def test_survival_products_groups_across_blocks():
 # --- candidate pairs --------------------------------------------------------
 
 
-def _assert_same_candidates(routed, p, bs, window, chunk=50_000):
-    got = _candidate_pairs(*routed, p, bs, window, chunk=chunk)
-    want = _candidate_pairs_window(*routed, p, bs, window, chunk=chunk)
+def _assert_same_candidates(routed, p, bs, window, block=histogram.BLOCK):
+    with mock.patch.object(interferometer, "BLOCK", block):
+        got = _candidate_pairs(*routed, p, bs, window)
+    want = _candidate_pairs_window(*routed, p, bs, window)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype
         np.testing.assert_array_equal(g, w)
@@ -454,11 +455,11 @@ def routed_streams(draw):
     gamma_pure=st.sampled_from([0.0, 0.2, 3.0]),
     mode_match=st.sampled_from([0.7, 1.0]),
     window=st.sampled_from([0.5, 1.0, 3.0, 34.0]),
-    chunk=st.sampled_from([1, 2, 7, 50_000]),
+    block=st.sampled_from([1, 2, 7, histogram.BLOCK]),
 )
-def test_candidate_pairs_equals_window_expansion(routed, gamma_pure, mode_match, window, chunk):
+def test_candidate_pairs_equals_window_expansion(routed, gamma_pure, mode_match, window, block):
     p = EmitterParams(gamma_spon=1 / 3.4, gamma_pure=gamma_pure)
-    _assert_same_candidates(routed, p, BeamSplitterConfig(mode_match=mode_match), window, chunk)
+    _assert_same_candidates(routed, p, BeamSplitterConfig(mode_match=mode_match), window, block)
 
 
 def test_candidate_pairs_equals_window_expansion_on_a_run():
@@ -557,13 +558,13 @@ TAG_VALUES = (
 @given(
     t3=st.lists(TAG_VALUES, max_size=30),
     t4=st.lists(TAG_VALUES, max_size=30),
-    block=st.sampled_from([1, 2, 7, fileio.TAG_BLOCK]),
+    block=st.sampled_from([1, 2, 7, histogram.BLOCK]),
 )
 def test_write_timetags_equals_row_writer(t3, t4, block):
     channels = {3: np.array(t3, dtype=float), 4: np.array(t4, dtype=float)}
     with tempfile.TemporaryDirectory() as tmp:
         got, want = os.path.join(tmp, "got.csv"), os.path.join(tmp, "want.csv")
-        with mock.patch.object(fileio, "TAG_BLOCK", block):
+        with mock.patch.object(fileio, "BLOCK", block):
             fileio.write_timetags(got, channels)
         _write_timetags_rows(want, channels)
         with open(got, "rb") as g, open(want, "rb") as w:
@@ -574,12 +575,12 @@ def test_write_timetags_equals_row_writer_on_a_run(tmp_path):
     # two full blocks and one row of a simulated run's tags
     rc = dataclasses.replace(default_run_config(), duration=5e5, seed=17)
     tags, _ = run_replicas(rc)
-    cut = np.sort(np.concatenate([tags[3], tags[4]]))[2 * fileio.TAG_BLOCK + 1]
+    cut = np.sort(np.concatenate([tags[3], tags[4]]))[2 * fileio.BLOCK + 1]
     channels = {c: tags[c][tags[c] < cut] for c in (3, 4)}
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
     fileio.write_timetags(got, channels)
     _write_timetags_rows(want, channels)
-    assert want.read_text().count("\n") == 2 * fileio.TAG_BLOCK + 2
+    assert want.read_text().count("\n") == 2 * fileio.BLOCK + 2
     assert got.read_bytes() == want.read_bytes()
 
 
@@ -659,7 +660,7 @@ def photon_streams(draw):
 
 
 def _assert_blocks_equal_stable_argsort(stream, cfg, seed, block):
-    with mock.patch.object(interferometer, "PORT_BLOCK", block):
+    with mock.patch.object(interferometer, "BLOCK", block):
         long_arm, _ = route(stream, cfg, np.random.default_rng(seed))
         slices = list(interferometer._arrival_order(stream.emission_times, long_arm, cfg.delta_t))
     want_long = np.random.default_rng(seed).random(len(stream)) < 0.5
@@ -671,7 +672,7 @@ def _assert_blocks_equal_stable_argsort(stream, cfg, seed, block):
 
 
 def _assert_blocks_equal_int8_port_split(stream, cfg, p, seed, block):
-    with mock.patch.object(interferometer, "PORT_BLOCK", block):
+    with mock.patch.object(interferometer, "BLOCK", block):
         got = interfere_stream(stream, cfg, p, np.random.default_rng(seed))
     _assert_same_channels(got, _interfere_stream_int8(stream, cfg, p, np.random.default_rng(seed)))
 
@@ -699,13 +700,13 @@ def test_arrival_order_blocks_equal_stable_argsort(stream, seed, delta_t, block)
 )
 def test_interfere_stream_blocks_equal_int8_port_split(stream, seed, delta_t, block, pol_mode, theta):
     # the block walk, the port draw and the instants, over many blocks: a
-    # stream of the other tests never reaches a second PORT_BLOCK
+    # stream of the other tests never reaches a second BLOCK
     p = EmitterParams(gamma_spon=1 / 3.4, gamma_pure=0.2, w_p=6.5)
     cfg = InterferometerConfig(delta_t=delta_t, bs=BeamSplitterConfig(theta=theta, mode_match=0.7), pol_mode=pol_mode)
     _assert_blocks_equal_int8_port_split(stream, cfg, p, seed, block)
 
 
-@pytest.mark.parametrize("block", [1, 2, 7, interferometer.PORT_BLOCK])
+@pytest.mark.parametrize("block", [1, 2, 7, histogram.BLOCK])
 def test_arrival_order_blocks_on_tied_lattice(block):
     # every long-arm photon arrives exactly when the photon 200 places later
     # is emitted, and those ties straddle the block edges
