@@ -19,7 +19,7 @@ if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.envi
 
     del os.environ["OPENBLAS_NUM_THREADS"]
 
-from .analysis import HomFitResult, difference_curve, fit_hom_model, rebin, v0_from_histograms
+from .analysis import HomFitResult, difference_curve, fit_hom_model, v0_from_histograms
 from .coherence import (
     INSTANTANEOUS,
     BeamSplitterConfig,
@@ -31,9 +31,9 @@ from .coherence import (
     overlap_sq,
     visibility,
 )
-from .detection import DetectionConfig, apply_detector, normalize, tac_mca_histogram
+from .detection import DetectionConfig, apply_detector, tac_mca_histogram
 from .emitter import PhotonStream, simulate_emission_stream
-from .histogram import CorrelationHistogram, empirical_g2, make_bin_edges
+from .histogram import CorrelationHistogram, empirical_g2, make_bin_edges, normalize, rebin
 from .interferometer import InterferometerConfig, bunching_probability, interfere_stream, route
 from .pipeline import RunConfig, default_run_config, run_replica, run_replicas
 from .selftest import run_selftest

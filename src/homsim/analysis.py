@@ -1,4 +1,4 @@
-"""Histogram post-processing: rebinning, difference curves, and the joint
+"""Histogram post-processing: difference curves, visibility, and the joint
 fit of the parallel/orthogonal correlation curves.
 
 The fit forward model is the finite-arm-delay cross-correlation of a
@@ -11,14 +11,13 @@ background folded in convexly so the asymptote stays at 1.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coherence import FWHM_TO_SIGMA, MAX_IRF_STEPS, EmitterParams, convolve_irf, g2_source, overlap_sq, visibility
-from .detection import DetectionConfig, normalize
-from .histogram import CorrelationHistogram
+from .detection import DetectionConfig
+from .histogram import CorrelationHistogram, norm_sigma
 
 # sub-samples per bin when averaging the model across a histogram bin
 FINE = 5
@@ -50,33 +49,6 @@ class HomFitResult:
     n_evaluations: int  # residuals calls, the error estimate's Jacobian included
 
 
-def rebin(hist: CorrelationHistogram, factor: int) -> CorrelationHistogram:
-    """Merge groups of `factor` adjacent bins.  A trailing partial group is
-    dropped with a warning.  Normalization, when present, is recomputed on
-    the coarse bins."""
-    if factor < 1 or factor != int(factor):
-        raise ValueError("factor must be a positive integer")
-    factor = int(factor)
-    if factor == 1:
-        return hist.copy()
-    nbins = len(hist.counts)
-    n_groups = nbins // factor
-    if n_groups == 0:
-        raise ValueError("factor exceeds the number of bins")
-    if n_groups * factor != nbins:
-        warnings.warn("rebin dropped %d trailing bins" % (nbins - n_groups * factor))
-    edges = hist.bin_edges[: n_groups * factor + 1 : factor]
-    counts = hist.counts[: n_groups * factor].reshape(n_groups, factor).sum(axis=1)
-    out = CorrelationHistogram(edges, counts)
-    if hist.norm_region is not None:
-        out = normalize(out, hist.norm_region)
-    elif hist.normalization_constant is not None:
-        # rate-style normalization scales with the bin width
-        out.normalization_constant = hist.normalization_constant * factor
-        out.normalized = counts / out.normalization_constant
-    return out
-
-
 @dataclass
 class DifferenceCurve:
     tau: np.ndarray
@@ -92,10 +64,6 @@ def _normalized_pair(h_a, h_b):
         raise ValueError("histogram geometries differ")
 
 
-def _norm_sigma(hist):
-    return np.sqrt(np.maximum(hist.counts, 1)) / hist.normalization_constant
-
-
 def difference_curve(h_a: CorrelationHistogram, h_b: CorrelationHistogram) -> DifferenceCurve:
     """Per-bin (b - a)/b with propagated Poisson uncertainty.
 
@@ -104,7 +72,7 @@ def difference_curve(h_a: CorrelationHistogram, h_b: CorrelationHistogram) -> Di
     """
     _normalized_pair(h_a, h_b)
     a, b = h_a.normalized, h_b.normalized
-    sa, sb = _norm_sigma(h_a), _norm_sigma(h_b)
+    sa, sb = norm_sigma(h_a), norm_sigma(h_b)
     defined = b > 0
     bb = np.where(defined, b, 1.0)
     value = np.where(defined, (b - a) / bb, np.nan)
@@ -198,7 +166,7 @@ def fit_hom_model(
     c_sel = centers[sel]
     width = h_par.bin_width
     d_par, d_orth = h_par.normalized[sel], h_orth.normalized[sel]
-    s_par, s_orth = _norm_sigma(h_par)[sel], _norm_sigma(h_orth)[sel]
+    s_par, s_orth = norm_sigma(h_par)[sel], norm_sigma(h_orth)[sel]
 
     names = ("gamma_pure", "w_p", "contrast", "background")
     lo = np.array([_BOUNDS[k][0] for k in names])

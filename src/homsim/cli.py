@@ -15,7 +15,7 @@ import numpy as np
 
 from . import analysis, coherence, detection, fileio, pipeline, selftest
 from .coherence import BeamSplitterConfig, EmitterParams
-from .histogram import MAX_BINS
+from .histogram import MAX_BINS, normalize, rebin
 
 
 def _add_emitter_flags(sub, gamma_spon, gamma_pure, wp):
@@ -119,7 +119,7 @@ def _simulate_config(args):
 def cmd_simulate(args):
     rc = _simulate_config(args)
     tags, hist = pipeline.run_replicas(rc)
-    hist = detection.normalize(hist, rc.norm_region)
+    hist = normalize(hist, rc.norm_region)
 
     fileio.write_config(args.out + ".config.txt", rc)
     fileio.write_timetags(args.out + ".tags.csv", tags)
@@ -140,12 +140,12 @@ def cmd_analyze(args):
     # window (--irf-fwhm-ns 0) would select no bins
     v0_raw = analysis.v0_from_histograms(h_par, h_orth, window=max(args.irf_fwhm_ns, h_par.bin_width))
 
-    hp = analysis.rebin(h_par, args.bin)
-    ho = analysis.rebin(h_orth, args.bin)
+    hp = rebin(h_par, args.bin)
+    ho = rebin(h_orth, args.bin)
     fit = analysis.fit_hom_model(
         hp, ho, args.gamma_spon, det, args.delta_t_ns, fit_window=args.fit_window_ns
     )
-    dc = analysis.difference_curve(analysis.rebin(h_par, args.bin_diff), analysis.rebin(h_orth, args.bin_diff))
+    dc = analysis.difference_curve(rebin(h_par, args.bin_diff), rebin(h_orth, args.bin_diff))
 
     fileio.write_results(args.out + ".results.txt", fit)
     fileio.write_difference(args.out + ".diff.csv", dc)

@@ -91,8 +91,9 @@ def format_config(rc: RunConfig) -> str:
 
 
 def parse_config_text(text: str) -> dict:
-    """key = value lines into a raw string mapping; '#' starts a comment."""
-    out = {}
+    """key = value lines into a raw string mapping; '#' starts a comment.
+    A key given twice is a ValueError naming both lines."""
+    out, seen = {}, {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -102,6 +103,9 @@ def parse_config_text(text: str) -> dict:
         key, val = (s.strip() for s in line.split("=", 1))
         if key not in CONFIG_FIELDS:
             raise ValueError("line %d: unknown key %r" % (lineno, key))
+        if key in seen:
+            raise ValueError("line %d: key %r already set on line %d" % (lineno, key, seen[key]))
+        seen[key] = lineno
         out[key] = val
     return out
 

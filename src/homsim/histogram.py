@@ -1,8 +1,10 @@
-"""Shared correlation-histogram container and the pair-delay binning used
-across the pipeline."""
+"""Shared correlation-histogram container, the pair-delay binning used
+across the pipeline, and the one normalization rule of a correlation
+histogram: normalize, rebin and the Poisson sigma of a normalized bin."""
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,15 +40,14 @@ def make_bin_edges(tau_min, tau_max, bin_width):
 class CorrelationHistogram:
     """Binned start-stop delay counts plus optional normalization state.
 
-    normalized and normalization_constant are filled by detection.normalize;
-    norm_region records the |tau| interval used so rebinning can renormalize.
+    normalized is counts / normalization_constant, both filled by normalize
+    (or empirical_g2, or read from a .hist.csv) and carried through rebin.
     """
 
     bin_edges: np.ndarray
     counts: np.ndarray
     normalized: np.ndarray | None = None
     normalization_constant: float | None = None
-    norm_region: tuple[float, float] | None = None
 
     def __post_init__(self):
         self.bin_edges = np.asarray(self.bin_edges, dtype=float)
@@ -128,3 +129,57 @@ def pairwise_delay_counts(ts_a, ts_b, edges):
         np.clip(idx, 0, nbins - 1, out=idx)
         counts += np.bincount(idx, minlength=nbins)
     return counts
+
+
+def norm_bins(centers, norm_region):
+    """The bins whose |center| lies in norm_region = (lo, hi); ValueError
+    unless 0 <= lo < hi and at least one bin is selected."""
+    lo, hi = norm_region
+    if not 0 <= lo < hi:
+        raise ValueError("norm_region must satisfy 0 <= lo < hi")
+    sel = (np.abs(centers) >= lo) & (np.abs(centers) <= hi)
+    if not np.any(sel):
+        raise ValueError("norm_region selects no bins")
+    return sel
+
+
+def normalize(hist: CorrelationHistogram, norm_region) -> CorrelationHistogram:
+    """Scale counts so the mean over |tau| in norm_region is 1."""
+    level = hist.counts[norm_bins(hist.bin_centers, norm_region)].mean()
+    if level <= 0:
+        raise ValueError("norm_region has zero counts")
+    out = hist.copy()
+    out.normalized = hist.counts / level
+    out.normalization_constant = float(level)
+    return out
+
+
+def rebin(hist: CorrelationHistogram, factor: int) -> CorrelationHistogram:
+    """Merge groups of `factor` adjacent bins.  A trailing partial group is
+    dropped with a warning.  A normalized histogram's constant is scaled by
+    the factor, so a coarse bin's normalized value is the mean of its fine
+    bins' values.  Factor 1 returns a copy: a read file's normalized column
+    is exact, but counts over its inferred constant may differ at round-off."""
+    if factor < 1 or factor != int(factor):
+        raise ValueError("factor must be a positive integer")
+    factor = int(factor)
+    if factor == 1:
+        return hist.copy()
+    nbins = len(hist.counts)
+    n_groups = nbins // factor
+    if n_groups == 0:
+        raise ValueError("factor exceeds the number of bins")
+    if n_groups * factor != nbins:
+        warnings.warn("rebin dropped %d trailing bins" % (nbins - n_groups * factor))
+    edges = hist.bin_edges[: n_groups * factor + 1 : factor]
+    counts = hist.counts[: n_groups * factor].reshape(n_groups, factor).sum(axis=1)
+    out = CorrelationHistogram(edges, counts)
+    if hist.normalization_constant is not None:
+        out.normalization_constant = hist.normalization_constant * factor
+        out.normalized = counts / out.normalization_constant
+    return out
+
+
+def norm_sigma(hist: CorrelationHistogram):
+    """Poisson 1-sigma of each normalized bin, an empty bin counted as one."""
+    return np.sqrt(np.maximum(hist.counts, 1)) / hist.normalization_constant

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherence import BeamSplitterConfig, EmitterParams
-from .detection import DetectionConfig, apply_detector, norm_bins, tac_mca_histogram
+from .detection import DetectionConfig, apply_detector, tac_mca_histogram
 from .emitter import simulate_emission_stream
-from .histogram import make_bin_edges
+from .histogram import make_bin_edges, norm_bins
 from .interferometer import InterferometerConfig, interfere_stream
 
 

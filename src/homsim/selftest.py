@@ -17,7 +17,7 @@ import numpy as np
 from . import analysis, coherence, detection, emitter, fileio
 from .coherence import BeamSplitterConfig, EmitterParams
 from .detection import DetectionConfig
-from .histogram import CorrelationHistogram, empirical_g2, make_bin_edges
+from .histogram import CorrelationHistogram, empirical_g2, make_bin_edges, norm_sigma, normalize, rebin
 from .interferometer import InterferometerConfig, bunching_probability
 from .pipeline import RunConfig, default_run_config, run_replica
 
@@ -127,14 +127,13 @@ def _interference_oracle(rep: _Report, quick, sign_flip):
         )
         stream, channels = run_replica(rc)
         rep.check("count conservation %s" % pol, len(channels[3]) + len(channels[4]) == len(stream))
-        hist = detection.normalize(detection.tac_mca_histogram(channels, det), rc.norm_region)
+        hist = normalize(detection.tac_mca_histogram(channels, det), rc.norm_region)
         centers = hist.bin_centers
         sel = np.abs(centers) <= 0.5
         model = coherence.g2_34(centers[sel], p, bs, pol)
         if sign_flip and pol == "parallel":  # the interference term with its sign flipped
             model = 2 * coherence.g2_34(centers[sel], p, bs, "orthogonal") - model
-        sigma = np.sqrt(np.maximum(hist.counts[sel], 1)) / hist.normalization_constant
-        z = (hist.normalized[sel] - model) / sigma
+        z = (hist.normalized[sel] - model) / norm_sigma(hist)[sel]
         frac = float(np.mean(np.abs(z) < 3.0))
         rep.check("interference oracle %s" % pol, frac >= frac_min, "frac3sigma %.3f" % frac)
 
@@ -169,7 +168,7 @@ def _detection_checks(rep: _Report):
     rep.check("tac records bounded by starts", ht.total_counts <= len(t3))
 
     flat = CorrelationHistogram(make_bin_edges(-5, 5, 1.0), np.full(10, 250))
-    nf = detection.normalize(flat, (0.0, 5.0))
+    nf = normalize(flat, (0.0, 5.0))
     rep.check("normalize flat", np.allclose(nf.normalized, 1.0) and nf.normalization_constant == 250)
 
 
@@ -181,7 +180,7 @@ def _io_checks(rep: _Report):
 
     with tempfile.TemporaryDirectory() as d:
         hist = CorrelationHistogram(make_bin_edges(-2, 2, 0.5), np.arange(8) + 3)
-        hist = detection.normalize(hist, (0.0, 2.0))
+        hist = normalize(hist, (0.0, 2.0))
         path = os.path.join(d, "h.csv")
         fileio.write_histogram(path, hist)
         back = fileio.read_histogram(path)
@@ -203,11 +202,11 @@ def _io_checks(rep: _Report):
 
 def _analysis_checks(rep: _Report, quick):
     hist = CorrelationHistogram(make_bin_edges(0, 4, 1.0), [1, 2, 3, 4])
-    rb = analysis.rebin(hist, 2)
+    rb = rebin(hist, 2)
     rep.check("rebin pairs", np.array_equal(rb.counts, [3, 7]))
 
     h = CorrelationHistogram(make_bin_edges(-2, 2, 0.5), np.full(8, 100))
-    h = detection.normalize(h, (0.0, 2.0))
+    h = normalize(h, (0.0, 2.0))
     dc = analysis.difference_curve(h, h)
     rep.check("self difference zero", np.all(dc.value[dc.defined] == 0.0))
 

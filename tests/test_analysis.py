@@ -1,5 +1,6 @@
 """Rebinning, difference curves, and the joint correlation-curve fit."""
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -24,6 +25,7 @@ from homsim import (
 from homsim import analysis
 from homsim.analysis import _levenberg_marquardt, hom_model, hom_model_curves
 from homsim.coherence import visibility
+from homsim.fileio import read_histogram, write_histogram
 from homsim.pipeline import default_run_config
 
 T2_B = 2.88135593220338983
@@ -61,7 +63,21 @@ def test_rebin_commutes_with_normalize(rng):
     b = normalize(rebin(raw, 2), region)
     np.testing.assert_allclose(a.normalized, b.normalized, rtol=1e-12)
     assert a.normalization_constant == pytest.approx(b.normalization_constant, rel=1e-12)
-    assert a.norm_region == region
+
+
+def test_rebin_of_a_read_histogram_matches_memory(tmp_path):
+    # analyze rebins a histogram read from its file, whose constant is
+    # inferred from one bin; the library rebins the one normalize made.
+    # Both follow one rule, so they agree to round-off at every factor
+    rc = default_run_config()
+    path = tmp_path / "h.hist.csv"
+    for seed, duration in [(s, 2e5) for s in range(1, 13)] + [(5, 3e5)]:
+        run = dataclasses.replace(rc, duration=duration, seed=seed)
+        h = normalize(run_replicas(run)[1], run.norm_region)
+        write_histogram(path, h)
+        back = read_histogram(path)
+        for factor in (1, 2, 7):
+            np.testing.assert_allclose(rebin(back, factor).normalized, rebin(h, factor).normalized, rtol=1e-15, atol=0)
 
 
 def test_rebin_scales_rate_normalization():

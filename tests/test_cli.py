@@ -1,6 +1,7 @@
 """Command-line entry points, exercised in process through cli.main."""
 
 import contextlib
+import dataclasses
 import os
 import subprocess
 import sys
@@ -11,12 +12,12 @@ import numpy as np
 import pytest
 
 import homsim
-from homsim import histogram
+from homsim import default_run_config, fit_hom_model, histogram, normalize, rebin, run_replicas
 from homsim.cli import main
 from homsim.histogram import MAX_BINS
 from homsim.detection import tac_mca_histogram
 from homsim.analysis import hom_model_curves
-from homsim.fileio import read_config, read_histogram, read_timetags, write_histogram
+from homsim.fileio import RESULT_FIELDS, read_config, read_histogram, read_timetags, write_histogram
 
 G2_PAR_A_AT_02 = 0.628408866133492004
 G2_ORTH_A_AT_02 = 0.751707348104295243
@@ -164,6 +165,27 @@ def test_analyze_pipeline(tmp_path, capsys):
     assert len(diff_lines) == 1 + 238 // 7
 
 
+def test_analyze_matches_library_fit(tmp_path):
+    # analyze on two written histograms fits what the library fits in
+    # memory: fit_hom_model on rebin(normalize(h), 2) of the same runs
+    rc = default_run_config()
+    hists = []
+    for pol, seed in (("parallel", 1), ("orthogonal", 2)):
+        assert main(["simulate", "--seed", str(seed), "--duration-ns", "300000", "--pol", pol,
+                     "--out", str(tmp_path / pol)]) == 0
+        run = dataclasses.replace(rc, interferometer=dataclasses.replace(rc.interferometer, pol_mode=pol),
+                                  duration=3e5, seed=seed)
+        hists.append(rebin(normalize(run_replicas(run)[1], run.norm_region), 2))
+    assert main(["analyze", "--par", str(tmp_path / "parallel.hist.csv"), "--orth", str(tmp_path / "orthogonal.hist.csv"),
+                 "--out", str(tmp_path / "an")]) == 0
+    fit = fit_hom_model(*hists, rc.emitter.gamma_spon, rc.detection, rc.interferometer.delta_t)
+    got = dict(l.split(" = ") for l in (tmp_path / "an.results.txt").read_text().splitlines())
+    assert float(got["rss"]) == pytest.approx(fit.rss, rel=1e-12, abs=0)
+    key_of = {name: key for key, name in RESULT_FIELDS}
+    for p in ("gamma_pure", "w_p", "contrast", "background"):
+        assert abs(float(got[key_of[p + "_hat"]]) - getattr(fit, p + "_hat")) <= 1e-3 * getattr(fit, "stderr_" + p), p
+
+
 def test_analyze_self_is_null(tmp_path, capsys):
     assert main(["simulate", "--seed", "21", "--duration-ns", "300000", "--pol", "parallel",
                  "--out", str(tmp_path / "p")]) == 0
@@ -226,6 +248,13 @@ def test_exit_codes(tmp_path, capsys):
         assert main(["simulate", "--config", str(removed), "--out", str(tmp_path / "bad")]) == 3
         err = capsys.readouterr().err
         assert "line 2" in err and key in err
+    # a key given twice is refused with both of its lines, not run at the later value
+    twice = tmp_path / "twice.config.txt"
+    twice.write_text("gamma_pure = 0.2\nduration = 20000.0\ngamma_pure = 0.4\n")
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(twice), "--out", str(tmp_path / "bad")]) == 3
+    err = capsys.readouterr().err
+    assert "gamma_pure" in err and "line 3" in err and "line 1" in err
     # asking for more memory than any machine has is one error line, not a
     # traceback: 2e12 bins are refused before any edge is built, and 1e16 ns
     # of photons (22 PiB) lie past the 47-bit address space, so the request

@@ -223,7 +223,6 @@ def test_normalize_flat():
     out = normalize(h, (3.0, 9.0))
     np.testing.assert_allclose(out.normalized, 1.0)
     assert out.normalization_constant == 50.0
-    assert out.norm_region == (3.0, 9.0)
     assert h.normalized is None  # input untouched
 
 

@@ -180,6 +180,9 @@ def test_config_parse_rules():
         parse_config_text("pump_rate = 2.0\n")  # unknown key
     with pytest.raises(ValueError):
         parse_config_text("just some words\n")
+    # a key given twice is an error naming both lines, not a silent override
+    with pytest.raises(ValueError, match=r"line 3: key 'gamma_pure' already set on line 1"):
+        parse_config_text("gamma_pure = 0.2\nseed = 7\ngamma_pure = 0.4\n")
     with pytest.raises(ValueError):
         build_run_config({"pump_rate": "2.0"})
     # tau_min and tau_max are applied together, so a shifted range is legal
