@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 from contextlib import nullcontext
 
 import numpy as np
@@ -131,6 +132,18 @@ def cmd_simulate(args):
     return 0
 
 
+def _rebin(path, hist, factor):
+    """rebin, with one plain stderr line in place of its warning when it
+    drops trailing bins."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "rebin dropped", UserWarning)
+        out = rebin(hist, factor)
+    dropped = len(hist.counts) - len(out.counts) * factor
+    if dropped:
+        print("analyze: %s: rebin by %d dropped %d trailing bins" % (path, factor, dropped), file=sys.stderr)
+    return out
+
+
 def cmd_analyze(args):
     h_par = fileio.read_histogram(args.par)
     h_orth = fileio.read_histogram(args.orth)
@@ -140,12 +153,12 @@ def cmd_analyze(args):
     # window (--irf-fwhm-ns 0) would select no bins
     v0_raw = analysis.v0_from_histograms(h_par, h_orth, window=max(args.irf_fwhm_ns, h_par.bin_width))
 
-    hp = rebin(h_par, args.bin)
-    ho = rebin(h_orth, args.bin)
+    hp = _rebin(args.par, h_par, args.bin)
+    ho = _rebin(args.orth, h_orth, args.bin)
     fit = analysis.fit_hom_model(
         hp, ho, args.gamma_spon, det, args.delta_t_ns, fit_window=args.fit_window_ns
     )
-    dc = analysis.difference_curve(rebin(h_par, args.bin_diff), rebin(h_orth, args.bin_diff))
+    dc = analysis.difference_curve(_rebin(args.par, h_par, args.bin_diff), _rebin(args.orth, h_orth, args.bin_diff))
 
     fileio.write_results(args.out + ".results.txt", fit)
     fileio.write_difference(args.out + ".diff.csv", dc)

@@ -1,11 +1,11 @@
 """Detector imperfections and the start-stop correlation electronics.
 
 Click streams per output port go through, in order: quantum efficiency
-thinning, Gaussian timing jitter, dead time, and uniform background
-injection.  Correlation is recorded either by a single-stop TAC/MCA chain
-(the default, mirroring the hardware) or by histogramming all cross pairs
-("full"), which is statistically cleaner and is what the oracle comparisons
-use.
+thinning, Gaussian timing jitter, dead time, uniform background injection,
+and the time tagger, which records each click on a 1-ps grid.  Correlation
+is recorded either by a single-stop TAC/MCA chain (the default, mirroring
+the hardware) or by histogramming all cross pairs ("full"), which is
+statistically cleaner and is what the oracle comparisons use.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ from .coherence import FWHM_TO_SIGMA
 from .histogram import CorrelationHistogram, make_bin_edges, pairwise_delay_counts
 
 CHANNELS = (3, 4)
+# the time tagger's grid: every click time is a whole number of picoseconds
+TICKS_PER_NS = 1e3
 
 
 @dataclass(frozen=True)
@@ -117,7 +119,8 @@ def apply_detector(channels, cfg: DetectionConfig, rng, duration):
     """Run both click streams through the detector chain.
 
     channels is {3: times, 4: times} with sorted arrays; duration bounds the
-    uniform background.  Returns the same structure, sorted per channel.
+    uniform background.  Returns the same structure, sorted per channel and
+    on the tagger's grid, in new arrays.
     """
     sigma = cfg.jitter_sigma
     out = {}
@@ -145,6 +148,11 @@ def apply_detector(channels, cfg: DetectionConfig, rng, duration):
             # each channel is then two sorted runs, which timsort merges
             for ch, pick in ((3, pick3), (4, ~pick3)):
                 out[ch] = np.sort(np.concatenate([out[ch], np.sort(t_bg[pick])]), kind="stable")
+    for ch in CHANNELS:
+        # rounding keeps the order; the product is a new array, so the
+        # caller's is never written; + 0.0 turns the -0.0 of a click in
+        # (-0.5 ps, 0) into +0.0
+        out[ch] = np.rint(out[ch] * TICKS_PER_NS) / TICKS_PER_NS + 0.0
     return out
 
 

@@ -1,9 +1,10 @@
 """Flat key=value run configs and the CSV tables.
 
 All text I/O is LF-terminated, comma-separated with '.' decimals, one header
-row per CSV, written by write_table (the time tags by their own faster
-writer) and read by read_table.  Floats are written with repr so a config
-echoed after a run parses back to bit-identical parameters.
+row per CSV, written by write_table (the time tags, on a 1-ps grid, with
+three decimals by their own faster writer) and read by read_table.  Floats
+are written with repr so a config echoed after a run parses back to
+bit-identical parameters.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import warnings
 import numpy as np
 
 from .coherence import INSTANTANEOUS, uniform_step
+from .detection import CHANNELS, TICKS_PER_NS
 from .histogram import BLOCK, CorrelationHistogram
 from .pipeline import RunConfig, default_run_config
 
@@ -133,129 +135,47 @@ def write_config(path, rc: RunConfig):
         fh.write(format_config(rc))
 
 
-_POW10 = np.array([float(10**i) for i in range(17)])  # all exact: 5**16 < 2**53
-_POW10_INT = 10 ** np.arange(18, dtype=np.int64)
 # the four ASCII digits of 0..9999, one uint32 each
 _DIGITS4 = np.arange(10_000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10
 _DIGITS4 = (_DIGITS4 + ord("0")).astype(np.uint8).view(np.uint32).ravel()
-_MANTISSA = (1 << 52) - 1
-_MARGIN = 2.0**-40
-
-
-def _split(a):
-    """Veltkamp's split of a float64 into two halves of 26 bits."""
-    c = 134217729.0 * a  # 2**27 + 1
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-def _scale(x, k):
-    """x * 10**k exactly, as an int64 floor and a fraction in [0, 1), by
-    Dekker's two-product: the rounded product plus its exact error."""
-    b = _POW10[k]
-    prod = x * b
-    (xh, xl), (bh, bl) = _split(x), _split(b)
-    err = ((xh * bh - prod) + xh * bl + xl * bh) + xl * bl
-    floor = np.floor(err)
-    return prod.astype(np.int64) + floor.astype(np.int64), err - floor
-
-
-def _shortest_digits(x):
-    """For x in [1, 1e15): repr's digits of x as a 17-digit integer padded
-    with zeros, how many of them precede the decimal point, how many there
-    are, and whether the row is certified."""
-    # the decade, exactly: _POW10[16 - k] <= x < _POW10[17 - k], so y lies in [1e16, 1e17)
-    k = 16 - (np.searchsorted(_POW10, x, side="right") - 1)
-    y, frac = _scale(x, k)
-    half = np.spacing(x) * 0.5 * _POW10[k]  # exact: a power of two times 10**k
-    ok = (x.view(np.int64) & _MANTISSA) != 0
-    count = np.full(len(x), 17)
-    live = np.flatnonzero(ok)
-    for p in range(16, 0, -1):
-        unit = _POW10_INT[17 - p]
-        yl, fl = y[live], frac[live]
-        rest = yl - yl // unit * unit
-        below, above = rest + fl, (unit - rest) - fl
-        gap = np.minimum(below, above) - half[live]
-        inside = gap < -_MARGIN
-        unsure = (np.abs(gap) <= _MARGIN) | (inside & (below == above))
-        ok[live[unsure]] = False
-        live = live[inside & ~unsure]
-        if not len(live):
-            break
-        count[live] = p
-    ok &= (count < 17) | (frac != 0.5)
-    unit = _POW10_INT[17 - count]
-    q = y // unit
-    rest = y - q * unit
-    digits = (q + ((unit - rest) - frac < rest + frac)) * unit
-    return digits, 17 - k, count, ok
-
-
-def _tag_rows(k, t):
-    """The rows b'%d,%r\\n' % (3 + k, t) of one sorted block, as one buffer."""
-    fast = np.flatnonzero((t >= 1.0) & (t < 1e15))
-    digits, decpt, count, ok = _shortest_digits(t[fast])
-    good = fast[ok]
-    digits, decpt, count = digits[ok], decpt[ok], count[ok]
-    top = digits // _POW10_INT[16]
-    rest = digits - top * _POW10_INT[16]
-    hi = rest // _POW10_INT[8]
-    lo = rest - hi * _POW10_INT[8]
-    hi_a, lo_a = hi // 10_000, lo // 10_000
-    quads = np.stack([top, hi_a, hi - hi_a * 10_000, lo_a, lo - lo_a * 10_000], axis=1)
-    text = _DIGITS4[quads].view(np.uint8)[:, 3:]  # "000" then the 17 digits
-    rows = np.empty((len(good), 21), dtype=np.uint8)
-    rows[:, 0] = k[good] + ord("3")
-    rows[:, 1] = ord(",")
-    # the times are sorted, so the rows of each decpt form one run
-    ends = np.searchsorted(decpt, np.arange(1, 17))
-    for d in range(1, 16):
-        run = slice(ends[d - 1], ends[d])
-        rows[run, 2 : 2 + d] = text[run, :d]
-        rows[run, 2 + d] = ord(".")
-        rows[run, 3 + d : 20] = text[run, d:]
-    length = (decpt + np.maximum(count - decpt, 1) + 4).astype(np.uint8)
-    rows[np.arange(len(good)), length - 1] = ord("\n")
-    data = rows[np.arange(21, dtype=np.uint8) < length[:, None]].tobytes()
-    # the rows the fast path did not certify go in with repr, in place
-    certified = np.zeros(len(t), dtype=bool)
-    certified[good] = True
-    slow = np.flatnonzero(~certified)
-    cuts = np.concatenate([[0], np.cumsum(length, dtype=np.int64)])[np.searchsorted(good, slow)]
-    parts, prev = [], 0
-    for i, cut in zip(slow.tolist(), cuts.tolist()):
-        parts += [data[prev:cut], b"%d,%r\n" % (3 + k[i], float(t[i]))]
-        prev = cut
-    return b"".join(parts + [data[prev:]])
 
 
 def write_timetags(path, channels):
-    """Merged click list, 'channel,time_ns', sorted by time.
+    """Merged click list, 'channel,time_ns', stably sorted by time.
 
-    Each row is exactly b'%d,%r' % (channel, time).  repr gives the
-    shortest digits that read back to the same float, so the tags read
-    back bit-identical.  numpy formats the rows BLOCK at a time, and
-    the result is exact: for x in [1, 1e15), y = x * 10**k lies in
-    [1e16, 1e17) with k <= 16, so 10**k is exact and Dekker's two-product
-    gives y exactly.  x's rounding interval is y +- spacing(x)/2 * 10**k,
-    also exact.  The 17-digit rounding of y always lies inside it; p digits
-    read back to x when the nearest multiple of 10**(17 - p) does, and
-    repr's digits are that multiple for the smallest such p.  A row falls
-    back to repr when x lies outside [1, 1e15), when its mantissa is a
-    power of two (the interval is lopsided), when a distance lies within
-    2**-40 of the interval's edge (the edge reads back by half-even rules),
-    or when two candidates tie.
+    Each row is b'%d,%.3f' % (channel, time) for a time on the tagger's 1-ps
+    grid (detection.TICKS_PER_NS), which reads back bit-identical.  Below
+    2**50 ps (19 minutes) doubles lie at most 1/4 ps apart, so rint(t * 1e3)
+    is its count k; a time not finite, off the grid or not below 2**50 ps is
+    a ValueError before the file is opened.
     """
-    k = np.concatenate([np.full(len(channels[c]), i, dtype=np.int8) for i, c in enumerate((3, 4))])
-    t = np.concatenate([np.asarray(channels[c], dtype=float) for c in (3, 4)])
+    ch = np.concatenate([np.full(len(channels[c]), c, dtype=np.uint8) for c in CHANNELS])
+    t = np.concatenate([np.asarray(channels[c], dtype=float) for c in CHANNELS])
     order = np.argsort(t, kind="stable")
-    k, t = k[order], t[order]
+    ch, t = ch[order], t[order]
     del order  # 8 bytes per tag that the write no longer needs
+    k = np.rint(t * TICKS_PER_NS)
+    off = np.flatnonzero(~((np.abs(k) < 2.0**50) & (k / TICKS_PER_NS == t)))
+    if len(off):
+        raise ValueError("time tag %r ns is not on the 1-ps grid below 2**50 ps" % float(t[off[0]]))
+    del t
     with open(path, "wb") as fh:
         fh.write(b"channel,time_ns\n")
-        for s in range(0, len(t), BLOCK):
-            fh.write(_tag_rows(k[s : s + BLOCK], t[s : s + BLOCK]))
+        # 24 columns a row: channel, ",", sign, q = |k| // 1000 in 16 digits,
+        # "." over r = |k| % 1000's leading zero, r, newline; the mask keeps
+        # a negative time's sign and q from its first nonzero digit or units
+        for s in range(0, len(k), BLOCK):
+            q, r = np.divmod(np.abs(k[s : s + BLOCK]).astype(np.int64), 1000)
+            rows = np.empty((len(q), 24), dtype=np.uint8)
+            rows[:, 0] = ch[s : s + BLOCK] + ord("0")
+            rows[:, 1:3] = np.frombuffer(b",-", dtype=np.uint8)
+            groups = np.stack([q // 10**12, q // 10**8 % 10**4, q // 10**4 % 10**4, q % 10**4, r], axis=1)
+            rows[:, 3:23] = _DIGITS4[groups].view(np.uint8)
+            rows[:, 19], rows[:, 23] = ord("."), ord("\n")
+            keep = np.ones((len(q), 24), dtype=bool)
+            keep[:, 2] = np.signbit(k[s : s + BLOCK])
+            keep[:, 3:18] = np.logical_or.accumulate(rows[:, 3:18] != ord("0"), axis=1)
+            fh.write(rows[keep].tobytes())
 
 
 def write_table(fh, header, columns):

@@ -395,3 +395,28 @@ def test_import_starts_no_blas_workers():
     assert run("homsim", OPENBLAS_NUM_THREADS="2")[1] == "2"
     for var in ("GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
         assert run("homsim", **{var: "2"}) == run("numpy", **{var: "2"})
+
+
+def test_analyze_notes_dropped_bins_plainly(tmp_path):
+    # --bin 3 and --bin-diff 5 leave 1 and 3 of the 238 bins over: one
+    # plain line per truncated rebin, and no warning's source path or line
+    edges = homsim.make_bin_edges(-24.99, 24.99, 0.21)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    curves = hom_model_curves(centers, 0.21, 1 / 3.4, 0.2, 6.5, 0.7, 0.05, 4.6, 0.42)
+    for pol, curve in zip(("par", "orth"), curves):
+        hist = homsim.CorrelationHistogram(edges, np.rint(1000 * curve).astype(np.int64))
+        write_histogram(tmp_path / ("%s.hist.csv" % pol), homsim.normalize(hist, (10.0, 20.0)))
+    src = str(Path(homsim.__file__).resolve().parents[1])
+    par, orth = str(tmp_path / "par.hist.csv"), str(tmp_path / "orth.hist.csv")
+    args = ["analyze", "--par", par, "--orth", orth, "--bin", "3", "--bin-diff", "5", "--out", str(tmp_path / "an")]
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "homsim.cli"] + args, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "analyze: %s: rebin by 3 dropped 1 trailing bins" % par,
+        "analyze: %s: rebin by 3 dropped 1 trailing bins" % orth,
+        "analyze: %s: rebin by 5 dropped 3 trailing bins" % par,
+        "analyze: %s: rebin by 5 dropped 3 trailing bins" % orth,
+    ]
+    assert len((tmp_path / "an.diff.csv").read_text().splitlines()) == 1 + 238 // 5

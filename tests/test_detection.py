@@ -54,10 +54,30 @@ def test_histogram_container_validation():
 # --- detector chain -------------------------------------------------------
 
 def test_all_off_chain_is_identity(rng):
+    # with every stage off, only the tagger's 1-ps grid moves a click
     ch = {3: _poisson_times(rng, 0.01, 1e4), 4: _poisson_times(rng, 0.01, 1e4)}
     out = apply_detector(ch, _flat_cfg(), np.random.default_rng(1), 1e4)
-    np.testing.assert_array_equal(out[3], ch[3])
-    np.testing.assert_array_equal(out[4], ch[4])
+    for c in (3, 4):
+        np.testing.assert_array_equal(out[c], np.rint(ch[c] * 1e3) / 1e3)
+        assert np.max(np.abs(out[c] - ch[c])) <= 0.0005
+
+
+@pytest.mark.parametrize("irf", [0.0, 0.42])
+def test_detector_output_on_the_grid(irf):
+    # clicks near zero, where jitter and the grid make negative times and
+    # -0.0; the output is new arrays on the grid, with no -0.0
+    times = np.array([-0.0004, -0.0, 0.0, 0.0004, 0.0006, 0.25, 1.0])
+    ch = {3: times, 4: np.sort(np.random.default_rng(5).uniform(-0.01, 0.01, 500))}
+    before = {c: ch[c].copy() for c in (3, 4)}
+    out = apply_detector(ch, _flat_cfg(irf_fwhm_pair=irf), np.random.default_rng(6), 10.0)
+    for c in (3, 4):
+        assert ch[c].tobytes() == before[c].tobytes()
+        assert out[c] is not ch[c]
+        assert np.array_equal(np.rint(out[c] * 1e3) / 1e3, out[c])
+        assert not np.any(np.signbit(out[c]) & (out[c] == 0))
+        assert np.all(np.diff(out[c]) >= 0)
+    if irf == 0.0:
+        assert out[3].tolist() == [0.0, 0.0, 0.0, 0.0, 0.001, 0.25, 1.0]
 
 
 def test_efficiency_thins_each_channel():

@@ -221,6 +221,32 @@ def test_timetags_roundtrip(tmp_path):
             read_timetags(bad)
 
 
+def test_timetags_integer_roundtrip(tmp_path, rng):
+    # whole picoseconds k, written as k / 1e3 ns, read back as the same
+    # doubles and so as the same integers, over two block edges
+    k = np.sort(rng.integers(10**6, 2**50, 2 * BLOCK + 3))
+    k[:3] = [-1500, 0, 999]
+    channels = {3: k[::2] / 1e3, 4: k[1::2] / 1e3}
+    path = tmp_path / "tags.csv"
+    write_timetags(path, channels)
+    rows = path.read_text().splitlines()[1:]
+    assert rows[:3] == ["3,-1.500", "4,0.000", "3,0.999"]
+    assert [int(r[2:].replace(".", "")) for r in rows] == k.tolist()
+    back = read_timetags(path)
+    for c in (3, 4):
+        assert back[c].tobytes() == channels[c].tobytes()
+        assert np.rint(back[c] * 1e3).astype(np.int64).tolist() == k[c - 3 :: 2].tolist()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0005, 1.0000000001, -2.5e-4, 2.0**50 / 1e3, -1e13])
+def test_timetags_off_the_grid_raise(tmp_path, bad):
+    # never rounded in silence, and no file is left behind
+    path = tmp_path / "tags.csv"
+    with pytest.raises(ValueError, match="grid"):
+        write_timetags(path, {3: np.array([0.001, bad]), 4: np.array([2.0])})
+    assert not path.exists()
+
+
 def test_write_table_blocks_equal_one_join(rng):
     # rows are formatted a block at a time; over two block edges, with a
     # blank column and values repr spells differently, the bytes are those of

@@ -1,16 +1,18 @@
-"""The vectorised matcher, TAC, dead time and tag writer against the loops
-they replaced, the window-pair expansion against a double loop, the
-overlap-bounded pair search against the full window expansion, the stream
-stages (emission, routing and port split, detector chain) against the
-copying and re-sorting versions they replaced, and the fit's build-once
-forward model against the model it replaced.
+"""The vectorised matcher, TAC and dead time against the loops they
+replaced, the tag writer against a per-row %.3f writer, the window-pair
+expansion against a double loop, the overlap-bounded pair search against
+the full window expansion, the stream stages (emission, routing and port
+split, detector chain) against the copying and re-sorting versions they
+replaced, and the fit's build-once forward model against the model it
+replaced.
 
-Each oracle below is the earlier implementation, kept verbatim in its
-logic.  The new code must give the same accepted mask, the same histogram
-counts, the same kept clicks, the same file bytes and the same model bits:
-pinned-seed outputs and fit results stay bit-identical only if these agree
-on every input, including ties, lattice-valued times and dead times one ulp
-either side of a gap.
+Each oracle below is the earlier implementation, kept verbatim in its logic
+(the detector chain's gains the tagger's 1-ps grid as its last step).  The
+new code must give the same accepted mask, the same histogram counts, the
+same kept clicks, the same file bytes and the same model bits: pinned-seed
+outputs and fit results stay bit-identical only if these agree on every
+input, including ties, lattice-valued times and dead times one ulp either
+side of a gap.
 """
 
 import dataclasses
@@ -143,7 +145,7 @@ def _write_timetags_rows(path, channels):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("channel,time_ns\n")
         for c, ti in zip(ch[order], t[order]):
-            fh.write("%d,%s\n" % (c, repr(float(ti))))
+            fh.write("%d,%.3f\n" % (c, ti))
 
 
 def _convolve_irf_padded(tau, values, fwhm):
@@ -278,7 +280,8 @@ def _apply_detector_resort(channels, cfg, rng, duration):
             pick3 = rng.random(n_bg) < 0.5
             out[3] = np.sort(np.concatenate([out[3], t_bg[pick3]]))
             out[4] = np.sort(np.concatenate([out[4], t_bg[~pick3]]))
-    return out
+    # the tagger's 1-ps grid, with +0.0 for a click in (-0.5 ps, 0)
+    return {ch: np.rint(t * 1e3) / 1e3 + 0.0 for ch, t in out.items()}
 
 
 # --- strategies -------------------------------------------------------------
@@ -535,22 +538,14 @@ def test_dead_time_edge_cases():
 
 # --- tag writer -------------------------------------------------------------
 
-# The writer's fast path covers [1, 1e15).  Powers of two, the neighbours
-# of short decimals (d * 10**n, 0.1, 2.5), x with exactly 17 bits after the
-# point (x * 1e16 is often a half-way tie) and decimals of 1 to 17 digits
-# test where it must fall back to repr or stop at few digits.
-TAG_EDGES = [
-    float(np.nextafter(x, towards))
-    for x in [0.1, 2.5] + [d * 10.0**n for d in range(1, 10) for n in range(16)]
-    for towards in (-np.inf, x, np.inf)
-]
+# Times on the 1-ps grid: integer picoseconds up to the writer's 2**50
+# bound, the same near zero, quantized floats (small negatives give -0.0)
+# and both zeros.
 TAG_VALUES = (
-    st.floats(allow_nan=False)
-    | st.floats(1.0, 1e15)
-    | st.integers(-1074, 1023).map(lambda e: 2.0**e)
-    | st.sampled_from(TAG_EDGES + [0.0, -0.0, 5e-324, 1e-7, 1e16, 1.2345678901234567e16, -1e22])
-    | st.integers(0, 2**20).map(lambda m: 1.0 + m / 2**17)
-    | st.builds(lambda digits, x: float("%.*g" % (digits, x)), st.integers(1, 17), st.floats(1.0, 1e15))
+    st.integers(-(2**50) + 1, 2**50 - 1).map(lambda k: k / 1e3)
+    | st.integers(-10**6, 10**6).map(lambda k: k / 1e3)
+    | st.floats(-1e6, 1e6).map(lambda x: float(np.rint(x * 1e3) / 1e3))
+    | st.sampled_from([0.0, -0.0, (2**50 - 1) / 1e3, -(2**50 - 1) / 1e3])
 )
 
 
@@ -858,9 +853,14 @@ def test_fit_with_per_call_model_is_bit_equal(small_pair):
     assert all(math.isfinite(v) for v in got.values() if isinstance(v, float))
 
 
-# rss of this pair's fit by four Nelder-Mead runs (scipy, maxfev 10,000,
-# xatol 1e-9, fatol 1e-10, adaptive), the solver before Levenberg-Marquardt
-NELDER_MEAD_RSS = 92.20009590425404
+# rss of this pair's fit by four Nelder-Mead runs, the solver before
+# Levenberg-Marquardt: scipy.optimize.minimize(method="Nelder-Mead", options
+# maxfev 10,000, xatol 1e-9, fatol 1e-10, adaptive) on the penalised rss
+# objective over the same fit window, model and Poisson sigmas, from the
+# start (0.3, 0.5, 0.6, 0.08) and three restarts clip(x0 * exp(N(0, 0.15, 4)))
+# drawn from default_rng(0), keeping the lowest.  scipy is not a dependency;
+# the value was computed once on the data of the 1-ps tagger grid
+NELDER_MEAD_RSS = 93.29658649583733
 
 
 def test_fit_rss_no_higher_than_nelder_mead(small_pair):
