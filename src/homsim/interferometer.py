@@ -2,13 +2,14 @@
 
 Each photon takes the short or long arm (1/2 each), acquiring delta_t of
 extra delay on the long arm, and leaves the output splitter through port 3
-or 4 independently.  In parallel polarization, opposite-arm photons whose
-envelopes overlap at both detection instants can instead bunch into a
-common port; bunching_probability states that law once, for whole arrays
-of pairs.  _candidate_pairs applies it to the pairs that arrive within ten
-radiative lifetimes of each other and whose wave packets overlap (the only
-ones it can score above zero), and match_pairs draws an exclusive matching
-that delivers it.
+or 4 independently; route draws both, a block of emission order at a time.
+In parallel polarization, opposite-arm photons whose envelopes overlap at
+both detection instants can instead bunch into a common port;
+bunching_probability states that law once, for whole arrays of pairs.
+_candidate_pairs applies it to the pairs that arrive within ten radiative
+lifetimes of each other and whose wave packets overlap (the only ones it
+can score above zero), and match_pairs draws an exclusive matching that
+delivers it.
 """
 
 from __future__ import annotations
@@ -48,20 +49,21 @@ def route(stream: PhotonStream, cfg: InterferometerConfig, rng):
     with probability sin^2 after the long arm or cos^2 after the short one.
 
     Returns (long_arm, port3), both in emission order.  The arm flags take
-    the first n uniforms and the port flags the next n, handed out in stable
-    arrival order a slice of _arrival_order at a time, so no photon-sized
-    permutation is built.
+    the first n uniforms and the port flags the next n, both in emission
+    order: given its arm, each port is an independent draw, so the order in
+    which the uniforms are dealt does not change their joint law.
     """
     n = len(stream)
+    c2, s2 = cfg.bs.intensity_split
     long_arm = np.empty(n, dtype=bool)
-    for start in range(0, n, BLOCK):  # consecutive draws: the doubles of one rng.random(n)
+    port3 = np.empty(n, dtype=bool)
+    # consecutive draws: the doubles of one rng.random(n), for each loop
+    for start in range(0, n, BLOCK):
         flags = long_arm[start : start + BLOCK]
         np.less(rng.random(len(flags)), 0.5, out=flags)
-    c2, s2 = cfg.bs.intensity_split
-    port3 = np.empty(n, dtype=bool)
-    for o in _arrival_order(stream.emission_times, long_arm, cfg.delta_t):
-        r = rng.random(len(o))
-        port3[o] = np.where(long_arm[o], r < s2, r < c2)
+    for start in range(0, n, BLOCK):
+        arm = long_arm[start : start + BLOCK]
+        np.less(rng.random(len(arm)), np.where(arm, s2, c2), out=port3[start : start + BLOCK])
     return long_arm, port3
 
 
@@ -70,29 +72,6 @@ def _arrival(delta_t, long_arm, emission_times):
     arrival = delta_t * long_arm
     arrival += emission_times
     return arrival
-
-
-def _arrival_order(emission_times, long_arm, delta_t):
-    """Yield index slices whose concatenation is np.argsort(arrival,
-    kind="stable") of the stream, walking emission-order blocks.
-
-    A photon emitted at or after emission_times[stop] arrives no earlier, and
-    has a larger index, so the photons seen so far that arrive by then
-    precede every later one in stable order: they are released, the rest are
-    carried, in index order, into the next block.
-    """
-    n = len(long_arm)
-    block = BLOCK
-    carry, carry_arr = np.zeros(0, dtype=np.int64), np.zeros(0)
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        idx = np.concatenate([carry, np.arange(start, stop)])
-        arr = np.concatenate([carry_arr, _arrival(delta_t, long_arm[start:stop], emission_times[start:stop])])
-        late = arr > (emission_times[stop] if stop < n else np.inf)
-        carry, carry_arr = idx[late], arr[late]
-        # the late photons arrive after every released one: they sort last
-        o = np.argsort(arr, kind="stable")[: len(arr) - len(carry)]
-        yield idx[o]
 
 
 def bunching_probability(u_a, u_b, arr_a, arr_b, gamma_pure, bs: BeamSplitterConfig):

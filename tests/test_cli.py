@@ -124,7 +124,7 @@ def test_simulate_tags_recorrelate_to_histogram(tmp_path, config, flags):
 
 @pytest.mark.parametrize("config, flags", [("", ["--pol", "parallel"]), (TAC_CONFIG, [])], ids=["parallel-full", "tac"])
 def test_simulate_does_not_depend_on_block_size(tmp_path, monkeypatch, capsys, config, flags):
-    # one run through every block loop (route's draws and walk, the pair
+    # one run through every block loop (route's arm and port draws, the pair
     # search, the survival sums, the port fill, the correlator and both
     # writers) at 7 entries per block, then at the default
     cfg = tmp_path / "run.config.txt"

@@ -32,25 +32,23 @@ def _itf(**kw):
 
 
 def _routed(stream, cfg, rng):
-    """route's arms and the arrival-order walk over them gathered: (long_arm,
-    arrivals in emission order, the arrival order, the walk's slices)."""
-    long_arm, _ = route(stream, cfg, rng)
-    slices = list(interferometer._arrival_order(stream.emission_times, long_arm, cfg.delta_t))
+    """route's flags and the arrivals they give: (long_arm, port3, arrivals
+    in emission order, the stable arrival order)."""
+    long_arm, port3 = route(stream, cfg, rng)
     arrival = interferometer._arrival(cfg.delta_t, long_arm, stream.emission_times)
-    return long_arm, arrival, np.concatenate(slices), slices
+    return long_arm, port3, arrival, np.argsort(arrival, kind="stable")
 
 
 def test_route_applies_exact_delay(strong_dephasing):
     stream = simulate_emission_stream(strong_dephasing, 3e3, seed=4)
-    long_arm, arrival, order, _ = _routed(stream, _itf(), np.random.default_rng(7))
+    long_arm, _, arrival, order = _routed(stream, _itf(), np.random.default_rng(7))
     # replay the arm draw: each photon's arrival is its emission plus exactly
     # 0 or exactly delta_t (the forward sum, so the float op matches bit for
-    # bit); the slices run through the stable sort of the arrivals
+    # bit)
     want_long = np.random.default_rng(7).random(len(stream)) < 0.5
     want = stream.emission_times + 4.6 * want_long
     np.testing.assert_array_equal(long_arm, want_long)
     assert arrival.tobytes() == want.tobytes()
-    np.testing.assert_array_equal(order, np.argsort(want, kind="stable"))
     # the delay line reorders photons: arrival order is not emission order
     assert not np.array_equal(order, np.arange(len(stream)))
 
@@ -62,18 +60,15 @@ def test_route_arm_fraction_and_polarization(strong_dephasing):
     assert abs(frac - 0.5) < 3 * math.sqrt(0.25 / len(stream))
     # polarization decides only whether pairs interfere, never the routing
     par = _routed(stream, _itf(), np.random.default_rng(11))
-    for got, want in zip(par[:3], routed[:3]):
-        np.testing.assert_array_equal(got, want)
-    assert len(par[3]) == len(routed[3])
-    for got, want in zip(par[3], routed[3]):
+    for got, want in zip(par, routed):
         np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("block", [7, histogram.BLOCK])
 @pytest.mark.parametrize("theta", [math.pi / 4, 0.3])
-def test_route_draws_ports_in_arrival_order(strong_dephasing, theta, block):
-    # replay: the first n uniforms pick the arms, the next n the ports, handed
-    # to the photons in stable arrival order
+def test_route_draws_ports_in_emission_order(strong_dephasing, theta, block):
+    # replay: the first n uniforms pick the arms, the next n the ports, both
+    # handed to the photons in emission order
     stream = simulate_emission_stream(strong_dephasing, 3e3, seed=4)
     cfg = _itf(bs=BeamSplitterConfig(theta=theta, mode_match=1.0))
     with mock.patch.object(interferometer, "BLOCK", block):
@@ -81,8 +76,7 @@ def test_route_draws_ports_in_arrival_order(strong_dephasing, theta, block):
     rng = np.random.default_rng(7)
     n = len(stream)
     want_long = rng.random(n) < 0.5
-    r = np.empty(n)
-    r[np.argsort(stream.emission_times + 4.6 * want_long, kind="stable")] = rng.random(n)
+    r = rng.random(n)
     np.testing.assert_array_equal(long_arm, want_long)
     np.testing.assert_array_equal(port3, np.where(want_long, r < math.sin(theta) ** 2, r < math.cos(theta) ** 2))
     assert n > 5 * 7 and 0 < np.count_nonzero(port3) < n
@@ -175,7 +169,7 @@ def test_candidate_pairs_emission_order_equals_arrival_order(molecule):
     # emission index; the pairs found in emission order, renumbered by rank,
     # are those found in arrival order, in the same sequence
     stream = simulate_emission_stream(molecule, 2e4, seed=6)
-    long_arm, arrival, order, _ = _routed(stream, _itf(), np.random.default_rng(2))
+    long_arm, _, arrival, order = _routed(stream, _itf(), np.random.default_rng(2))
     rank = np.empty(len(order), dtype=np.int64)
     rank[order] = np.arange(len(order))
     assert not np.array_equal(rank, np.arange(len(rank)))
@@ -278,11 +272,11 @@ def test_interfere_stream_conserves_and_reproduces(strong_dephasing):
                          ids=["orthogonal", "parallel"])
 def test_interfere_stream_peak_memory(molecule, pol_mode, arrays, blocks):
     # Orthogonal: the arm flags, the port flags and the two ports' instants,
-    # 1.25 photon-sized arrays, plus the block walk's temporaries, 2.39
+    # 1.25 photon-sized arrays, plus the port fill's block temporaries, 2.39
     # BLOCK-sized float arrays at this seed (1.53 photon-sized arrays in
-    # all; 2.85 and 1.92 at 65,536 entries per block); 3.85 (2.15) while
-    # the walk also yielded its arrivals.  A photon-sized arrival array, a
-    # global argsort and the instants before the port split peaked at 2.75.
+    # all; 2.26 and 1.78 at 65,536 entries per block).  A photon-sized
+    # arrival array, a global argsort and the instants before the port
+    # split peaked at 2.75.
     # The parallel peak (5.62 at this seed; 6.11 when the pair search took
     # 50,000 long-arm photons per block) is the pair search's.  It was
     # 7.11 while the arrival order lived through the pair search to number

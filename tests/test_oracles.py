@@ -7,12 +7,13 @@ replaced, and the fit's build-once forward model against the model it
 replaced.
 
 Each oracle below is the earlier implementation, kept verbatim in its logic
-(the detector chain's gains the tagger's 1-ps grid as its last step).  The
-new code must give the same accepted mask, the same histogram counts, the
-same kept clicks, the same file bytes and the same model bits: pinned-seed
-outputs and fit results stay bit-identical only if these agree on every
-input, including ties, lattice-valued times and dead times one ulp either
-side of a gap.
+(the detector chain's gains the tagger's 1-ps grid as its last step, and
+the port split deals its uniforms in emission order).  The new code must
+give the same accepted mask, the same histogram counts, the same kept
+clicks, the same file bytes and the same model bits: pinned-seed outputs
+and fit results stay bit-identical only if these agree on every input,
+including ties, lattice-valued times and dead times one ulp either side of
+a gap.
 """
 
 import dataclasses
@@ -234,10 +235,11 @@ def _emission_concat(p, duration, seed):
 
 def _interfere_stream_int8(stream, cfg, p, rng):
     # the routed stream gathered into arrival order (an argsort and three
-    # gathers), one uniform per photon in one draw, an int8 port per photon
-    # through a nested np.where, the window-expansion pair search and
-    # default-kind sorts; the matcher gets emission indices, as in
-    # interfere_stream, so its survival sums add in the same order
+    # gathers), one port uniform per photon in one draw, dealt in emission
+    # order, an int8 port per photon through a nested np.where, the
+    # window-expansion pair search and default-kind sorts; the matcher gets
+    # emission indices, as in interfere_stream, so its survival sums add in
+    # the same order
     long_arm = rng.random(len(stream)) < 0.5
     arrival = stream.emission_times + cfg.delta_t * long_arm
     order = np.argsort(arrival, kind="stable")
@@ -246,7 +248,7 @@ def _interfere_stream_int8(stream, cfg, p, rng):
     u = arrival + env
     c2 = math.cos(cfg.bs.theta) ** 2
     s2 = math.sin(cfg.bs.theta) ** 2
-    r = rng.random(n)
+    r = rng.random(n)[order]
     ch = np.where(np.where(long_arm, r < s2, r < c2), np.int8(3), np.int8(4))
     if cfg.pol_mode == "parallel" and cfg.pairing == "weighted" and cfg.bs.mode_match > 0 and n > 1:
         a_idx, b_idx, q = _candidate_pairs_window(arrival, env, long_arm, p, cfg.bs, 10.0 / p.gamma_spon)
@@ -654,18 +656,6 @@ def photon_streams(draw):
     return PhotonStream(offset + step * ks, env, offset + 400 * step)
 
 
-def _assert_blocks_equal_stable_argsort(stream, cfg, seed, block):
-    with mock.patch.object(interferometer, "BLOCK", block):
-        long_arm, _ = route(stream, cfg, np.random.default_rng(seed))
-        slices = list(interferometer._arrival_order(stream.emission_times, long_arm, cfg.delta_t))
-    want_long = np.random.default_rng(seed).random(len(stream)) < 0.5
-    arrival = stream.emission_times + cfg.delta_t * want_long
-    order = np.argsort(arrival, kind="stable")
-    _assert_same_bits(long_arm, want_long)
-    assert len(slices) == -(-len(stream) // block)  # one slice per emission block
-    _assert_same_bits(np.concatenate([np.zeros(0, dtype=np.int64)] + slices), order)
-
-
 def _assert_blocks_equal_int8_port_split(stream, cfg, p, seed, block):
     with mock.patch.object(interferometer, "BLOCK", block):
         got = interfere_stream(stream, cfg, p, np.random.default_rng(seed))
@@ -678,31 +668,19 @@ def _assert_blocks_equal_int8_port_split(stream, cfg, p, seed, block):
     seed=SEEDS,
     delta_t=st.sampled_from([0.0, 4.6, 100.0]),
     block=st.sampled_from([1, 2, 7]),
-)
-def test_arrival_order_blocks_equal_stable_argsort(stream, seed, delta_t, block):
-    cfg = InterferometerConfig(delta_t=delta_t)
-    _assert_blocks_equal_stable_argsort(stream, cfg, seed, block)
-
-
-@SETTINGS
-@given(
-    stream=photon_streams(),
-    seed=SEEDS,
-    delta_t=st.sampled_from([0.0, 4.6, 100.0]),
-    block=st.sampled_from([1, 2, 7]),
     pol_mode=st.sampled_from(["parallel", "orthogonal"]),
     theta=st.sampled_from([math.pi / 4, 0.3]),
 )
 def test_interfere_stream_blocks_equal_int8_port_split(stream, seed, delta_t, block, pol_mode, theta):
-    # the block walk, the port draw and the instants, over many blocks: a
-    # stream of the other tests never reaches a second BLOCK
+    # the arm and port draws and the instants, over many blocks: a stream of
+    # the other tests never reaches a second BLOCK
     p = EmitterParams(gamma_spon=1 / 3.4, gamma_pure=0.2, w_p=6.5)
     cfg = InterferometerConfig(delta_t=delta_t, bs=BeamSplitterConfig(theta=theta, mode_match=0.7), pol_mode=pol_mode)
     _assert_blocks_equal_int8_port_split(stream, cfg, p, seed, block)
 
 
 @pytest.mark.parametrize("block", [1, 2, 7, histogram.BLOCK])
-def test_arrival_order_blocks_on_tied_lattice(block):
+def test_interfere_stream_blocks_on_tied_lattice(block):
     # every long-arm photon arrives exactly when the photon 200 places later
     # is emitted, and those ties straddle the block edges
     e = 0.5 * np.arange(900.0)
@@ -712,7 +690,6 @@ def test_arrival_order_blocks_on_tied_lattice(block):
         cfg = InterferometerConfig(delta_t=100.0, bs=BeamSplitterConfig(mode_match=0.7), pol_mode=pol_mode)
         arrival = e + 100.0 * (np.random.default_rng(3).random(900) < 0.5)
         assert len(np.unique(arrival)) < 800
-        _assert_blocks_equal_stable_argsort(stream, cfg, 3, block)
         _assert_blocks_equal_int8_port_split(stream, cfg, p, 3, block)
 
 
@@ -859,8 +836,9 @@ def test_fit_with_per_call_model_is_bit_equal(small_pair):
 # objective over the same fit window, model and Poisson sigmas, from the
 # start (0.3, 0.5, 0.6, 0.08) and three restarts clip(x0 * exp(N(0, 0.15, 4)))
 # drawn from default_rng(0), keeping the lowest.  scipy is not a dependency;
-# the value was computed once on the data of the 1-ps tagger grid
-NELDER_MEAD_RSS = 93.29658649583733
+# the value was computed once (scipy 1.17.1) on the data of the 1-ps tagger
+# grid and the emission-order port draw
+NELDER_MEAD_RSS = 81.42240771741555
 
 
 def test_fit_rss_no_higher_than_nelder_mead(small_pair):
