@@ -147,33 +147,42 @@ def write_timetags(path, channels):
     grid (detection.TICKS_PER_NS), which reads back bit-identical.  Below
     2**50 ps (19 minutes) doubles lie at most 1/4 ps apart, so rint(t * 1e3)
     is its count k; a time not finite, off the grid or not below 2**50 ps is
-    a ValueError before the file is opened.
+    a ValueError before the file is opened.  With each channel in time order
+    (sorted here if not), a second-channel click's row is its index plus the
+    earlier or equal first-channel clicks: the rows merge a block at a time.
     """
-    ch = np.concatenate([np.full(len(channels[c]), c, dtype=np.uint8) for c in CHANNELS])
-    t = np.concatenate([np.asarray(channels[c], dtype=float) for c in CHANNELS])
-    order = np.argsort(t, kind="stable")
-    ch, t = ch[order], t[order]
-    del order  # 8 bytes per tag that the write no longer needs
-    k = np.rint(t * TICKS_PER_NS)
-    off = np.flatnonzero(~((np.abs(k) < 2.0**50) & (k / TICKS_PER_NS == t)))
-    if len(off):
-        raise ValueError("time tag %r ns is not on the 1-ps grid below 2**50 ps" % float(t[off[0]]))
-    del t
+    t_a, t_b = (np.asarray(channels[c], dtype=float) for c in CHANNELS)
+    bad = []
+    for blk in (t[s : s + BLOCK] for t in (t_a, t_b) for s in range(0, len(t), BLOCK)):
+        k = np.rint(blk * TICKS_PER_NS)
+        bad.extend(blk[~((np.abs(k) < 2.0**50) & (k / TICKS_PER_NS == blk))])
+    if bad:  # the earliest bad time (np.sort puts NaN last)
+        raise ValueError("time tag %r ns is not on the 1-ps grid below 2**50 ps" % float(np.sort(bad)[0]))
+    t_a, t_b = (t if np.all(t[1:] >= t[:-1]) else np.sort(t, kind="stable") for t in (t_a, t_b))
+    from_b = np.zeros(len(t_a) + len(t_b), dtype=bool)
+    from_b[np.searchsorted(t_a, t_b, side="right") + np.arange(len(t_b))] = True
     with open(path, "wb") as fh:
         fh.write(b"channel,time_ns\n")
         # 24 columns a row: channel, ",", sign, q = |k| // 1000 in 16 digits,
         # "." over r = |k| % 1000's leading zero, r, newline; the mask keeps
         # a negative time's sign and q from its first nonzero digit or units
-        for s in range(0, len(k), BLOCK):
-            q, r = np.divmod(np.abs(k[s : s + BLOCK]).astype(np.int64), 1000)
+        i_b = 0  # second-channel rows before this block
+        for s in range(0, len(from_b), BLOCK):
+            b, a = np.flatnonzero(from_b[s : s + BLOCK]), np.flatnonzero(~from_b[s : s + BLOCK])
+            t = np.empty(len(a) + len(b))
+            t[b], t[a] = t_b[i_b : i_b + len(b)], t_a[s - i_b : s - i_b + len(a)]
+            i_b += len(b)
+            k = np.rint(t * TICKS_PER_NS)
+            q, r = np.divmod(np.abs(k).astype(np.int64), 1000)
             rows = np.empty((len(q), 24), dtype=np.uint8)
-            rows[:, 0] = ch[s : s + BLOCK] + ord("0")
+            rows[:, 0] = CHANNELS[0] + ord("0")
+            rows[b, 0] = CHANNELS[1] + ord("0")
             rows[:, 1:3] = np.frombuffer(b",-", dtype=np.uint8)
             groups = np.stack([q // 10**12, q // 10**8 % 10**4, q // 10**4 % 10**4, q % 10**4, r], axis=1)
             rows[:, 3:23] = _DIGITS4[groups].view(np.uint8)
             rows[:, 19], rows[:, 23] = ord("."), ord("\n")
             keep = np.ones((len(q), 24), dtype=bool)
-            keep[:, 2] = np.signbit(k[s : s + BLOCK])
+            keep[:, 2] = np.signbit(k)
             keep[:, 3:18] = np.logical_or.accumulate(rows[:, 3:18] != ord("0"), axis=1)
             fh.write(rows[keep].tobytes())
 

@@ -133,6 +133,7 @@ def match_pairs(n_photons, a_idx, b_idx, q, rng):
 
     p_fire = np.clip(q_o / np.maximum(_survival_products(a_o, b_o, q_o), Q_MIN), 0.0, 1.0)
     fired = rng.random(m) < p_fire
+    del p_fire  # the rounds hold a photon-sized array
 
     accepted = np.zeros(m, dtype=bool)
     used = np.zeros(n_photons, dtype=bool)
@@ -158,37 +159,28 @@ def _survival_products(a_o, b_o, q_o):
     """s_a * s_b of each of m > 0 pairs in processing order: the survival of
     each photon is 1 minus the q-mass it spent on earlier-processed pairs.
 
-    Entry k is photon a_o[k] of pair k and entry m + k photon b_o[k]; sorting
-    the key photon * m + k groups the entries by photon in processing order.
-    Keys repeat only for a self-pair, whose two entries then share a photon,
-    a position and q, so either order gives the same product.  The spent mass
-    is one cumsum over that sequence minus its value before the group's
-    first entry, located by integer index (a running maximum of the float
-    cs - q can step down by an ulp where q is below an ulp of the sum).  At
-    most three 2m-sized buffers are alive at once.
+    The keys photon * m + k of entry k (photon a_o[k]) and m + k (b_o[k]),
+    sorted in place, group the entries by photon in processing order, and
+    key % m is each entry's pair.  The spent mass is the cumsum minus its
+    value before the group's first entry, read there (a running maximum of
+    the float cs - q can step down an ulp); both carry over block edges.
     """
     m = len(q_o)
     key = np.concatenate([a_o, b_o], dtype=np.int64)
     key *= m
     key.reshape(2, m)[:] += np.arange(m)
-    so = np.argsort(key)
-    key = key[so]
-    key //= m  # the photon of each sorted entry; then, in place, its group's first position
-    np.multiply(np.arange(2 * m), np.r_[True, key[1:] != key[:-1]], out=key)
-    np.maximum.accumulate(key, out=key)
-    cs = np.take(q_o, so, mode="wrap")  # q_o[so % m] without the index temporary
-    np.cumsum(cs, out=cs)
-    # cs - q, then minus its value at the group start: the second pass runs
-    # from the end, so each group start is read before it is changed
-    blocks = range(0, 2 * m, BLOCK)
-    for s in blocks:
-        cs[s : s + BLOCK] -= np.take(q_o, so[s : s + BLOCK], mode="wrap")
-    for s in reversed(blocks):
-        cs[s : s + BLOCK] -= cs[key[s : s + BLOCK]]
-    del key
-    surv = np.empty(2 * m)
-    surv[so] = np.subtract(1.0, cs, out=cs)
-    return surv[:m] * surv[m:]
+    key.sort()
+    prod = np.ones(m)
+    total, base, photon = 0.0, 0.0, -1
+    for s in range(0, 2 * m, BLOCK):
+        ph, k = np.divmod(key[s : s + BLOCK], m)
+        c = np.cumsum(np.r_[total, q_o[k]])  # the sums of one cumsum
+        total, c[0] = c[-1], base  # entry 0 starts the group open at the edge
+        c[1:] -= q_o[k]
+        at_start = c[np.maximum.accumulate(np.arange(len(c)) * np.r_[True, np.diff(ph, prepend=photon) != 0])]
+        base, photon = at_start[-1], ph[-1]
+        np.multiply.at(prod, k, 1.0 - (c - at_start)[1:])  # 1 * s * s' is s_a * s_b in either order
+    return prod
 
 
 def _candidate_pairs(arrival, envelope_delays, long_arm, p, bs, window):
