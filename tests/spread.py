@@ -3,8 +3,11 @@
 Reruns the set-up of test_analysis.py::test_fit_monte_carlo_recovery over
 the seed pairs (314 + k, 1314 + k), and the runs of acceptance criteria 3,
 4, 6 and 7 over neighbouring seeds (criterion 4's pairs are
-(2024 + k, 3024 + k)); k = 0 is each test's own pinned seed.  The criteria
-are read from test_acceptance.py, never changed.  For each assert it prints
+(2024 + k, 3024 + k)); k = 0 is each test's own pinned seed.  Criterion 5,
+about 30 s a run, has its own flag: its seed set j adds 10000 j to every
+seed of both of its batches, and j = 0 is its pinned set.  The criteria
+are read from test_acceptance.py, never changed; criterion 5's batches live
+inside its test function, so criterion_5 below restates them.  For each assert it prints
 the pass rate over the seeds and the mean, sd, minimum and maximum of the
 asserted quantity, as a markdown table.  It checks nothing: it exits 0 once
 the runs finish.  pytest does not collect it (its name does not start with
@@ -12,6 +15,7 @@ test_).
 
     PYTHONPATH=src python tests/spread.py                     # 20 fit, 10 criterion seeds
     PYTHONPATH=src python tests/spread.py --fit-pairs 2 --criterion-pairs 2 --scale 0.05
+    PYTHONPATH=src python tests/spread.py --fit-pairs 0 --criterion-pairs 0 --criterion-5-sets 10
 
 --scale multiplies every run's duration (a smoke run; its rates say nothing).
 """
@@ -28,6 +32,7 @@ from homsim import (
     EmitterParams,
     InterferometerConfig,
     RunConfig,
+    fit_hom_model,
     g2_34,
     normalize,
     rebin,
@@ -36,7 +41,8 @@ from homsim import (
     v0_from_histograms,
 )
 from homsim.analysis import difference_curve
-from test_acceptance import MOLECULE, _run, _z_from_unity
+from homsim.histogram import norm_sigma
+from test_acceptance import EXP_DET, MOLECULE, _run, _z_from_unity
 from test_analysis import BACKGROUND_PAIRS, T2_B, _monte_carlo_fit
 
 
@@ -73,8 +79,7 @@ def criterion_3(k, scale):
         hist = normalize(tac_mca_histogram(channels, det), rc.norm_region)
         sel = np.abs(hist.bin_centers) <= 0.5
         model = g2_34(hist.bin_centers[sel], emitter, bs, pol)
-        sigma = np.sqrt(np.maximum(hist.counts[sel], 1)) / hist.normalization_constant
-        frac = float(np.mean(np.abs(hist.normalized[sel] - model) < 3 * sigma))
+        frac = float(np.mean(np.abs(hist.normalized[sel] - model) < 3 * norm_sigma(hist)[sel]))
         rows.append(("3: %s fraction within 3 sigma >= 0.95" % pol, frac, frac >= 0.95))
     return rows
 
@@ -109,6 +114,41 @@ def criterion_7(k, scale):
     return [("7: max \\|z\\| < 3 (all bins defined)", z, z < 3.0)]
 
 
+def criterion_5(j, scale):
+    # test_criterion_5_parameter_recovery with 10000 j added to every seed
+    truth_gp, truth_wp = 0.4, 0.5
+    emitter = EmitterParams(gamma_spon=1 / 3.4, gamma_pure=truth_gp, w_p=truth_wp)
+    recorded = []
+
+    def batch(seed_pairs, duration):
+        gps, wps, hit = [], [], 0
+        for sp, so in seed_pairs:
+            h_par = _run(emitter, "parallel", sp + 10000 * j, duration * scale)
+            h_orth = _run(emitter, "orthogonal", so + 10000 * j, duration * scale)
+            recorded.append(h_par.total_counts)
+            fit = fit_hom_model(h_par, h_orth, 1 / 3.4, EXP_DET, 4.6)
+            gps.append(fit.gamma_pure_hat)
+            wps.append(fit.w_p_hat)
+            if abs(fit.gamma_pure_hat - truth_gp) <= 0.1 * truth_gp and \
+               abs(fit.w_p_hat - truth_wp) <= 0.1 * truth_wp:
+                hit += 1
+        return np.array(gps), np.array(wps), hit
+
+    mad = lambda x: np.median(np.abs(x - np.median(x)))
+    gp1, wp1, hit1 = batch([(11 * k, 11 * k + 1000) for k in range(1, 11)], 4.8e6)
+    gp4, wp4, hit4 = batch([(2000 + k, 3000 + k) for k in range(1, 11)], 1.92e7)
+    r_gp, r_wp = mad(gp1) / mad(gp4), mad(wp1) / mad(wp4)
+    rows = [
+        ("5: recorded coincidences >= 100000 (min)", float(min(recorded)), min(recorded) >= 100_000),
+        ("5: hit1 >= 8", float(hit1), hit1 >= 8),
+        ("5: hit4 >= 8", float(hit4), hit4 >= 8),
+        ("5: 1.4 <= MAD ratio gamma_pure <= 3.0", r_gp, 1.4 <= r_gp <= 3.0),
+        ("5: 1.4 <= MAD ratio w_p <= 3.0", r_wp, 1.4 <= r_wp <= 3.0),
+    ]
+    rows.append(("every criterion 5 assert", float(all(r[2] for r in rows)), all(r[2] for r in rows)))
+    return rows
+
+
 def criteria_rows(k, scale):
     rows = criterion_3(k, scale) + criteria_4_6(k, scale) + criterion_7(k, scale)
     rows.append(("every criterion assert", float(all(r[2] for r in rows)), all(r[2] for r in rows)))
@@ -134,10 +174,14 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--fit-pairs", type=int, default=20)
     ap.add_argument("--criterion-pairs", type=int, default=10)
+    ap.add_argument("--criterion-5-sets", type=int, default=0, help="seed sets of criterion 5, about 30 s each")
     ap.add_argument("--scale", type=float, default=1.0, help="multiplies every run's duration")
     args = ap.parse_args(argv)
-    table("test_fit_monte_carlo_recovery", fit_rows, args.fit_pairs, args.scale)
-    table("acceptance criteria 3, 4, 6 and 7", criteria_rows, args.criterion_pairs, args.scale)
+    for title, row_fn, n in (("test_fit_monte_carlo_recovery", fit_rows, args.fit_pairs),
+                             ("acceptance criteria 3, 4, 6 and 7", criteria_rows, args.criterion_pairs),
+                             ("acceptance criterion 5 (seed sets)", criterion_5, args.criterion_5_sets)):
+        if n > 0:
+            table(title, row_fn, n, args.scale)
     return 0
 
 

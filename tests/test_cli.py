@@ -225,8 +225,13 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["no-such-command"]) == 2
     assert main(["analyze", "--par", str(tmp_path / "missing.csv"),
                  "--orth", str(tmp_path / "missing.csv")]) == 3
+    capsys.readouterr()
     assert main(["selftest", "--quick"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    # the sentinel breaks the interference oracle in parallel and nothing else
     assert main(["selftest", "--quick", "--sentinel-sign-flip"]) == 4
+    fails = [l for l in capsys.readouterr().out.splitlines() if l.startswith("FAIL -")]
+    assert len(fails) == 1 and fails[0].startswith("FAIL - interference oracle parallel:")
     # non-finite values and removed modes are bad input, not a run or a traceback
     greedy = tmp_path / "greedy.config.txt"
     greedy.write_text("pairing = greedy\nduration = 20000.0\n")

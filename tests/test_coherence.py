@@ -32,6 +32,7 @@ from homsim import (
 )
 from homsim import coherence
 from homsim.coherence import FWHM_TO_SIGMA, MAX_IRF_STEPS, _irf_kernel
+from homsim.histogram import norm_sigma
 
 G1_A_AT_02 = 0.496585303791409515
 G2_SOURCE_A_AT_02 = 0.503414696208590485
@@ -128,6 +129,8 @@ def test_g2_34_gap_identity(strong_dephasing, rng):
     gap = 2 * s2 * c2 * bs.mode_match * g1(tau, strong_dephasing) ** 2
     np.testing.assert_allclose(orth - par, gap, atol=1e-14)
     assert np.all(par <= orth + 1e-15)
+    # the dip is symmetric in tau
+    np.testing.assert_allclose(g2_34(-tau, strong_dephasing, bs, "parallel"), par, rtol=0, atol=1e-15)
     # far from zero delay both curves are 2 s^2 c^2 + c^4 + s^4 = 1
     for pol in ("parallel", "orthogonal"):
         np.testing.assert_allclose(g2_34(40.0, strong_dephasing, bs, pol), 1.0, rtol=0, atol=1e-15)
@@ -150,7 +153,7 @@ def test_g2_34_matches_monte_carlo_off_balance(strong_dephasing, theta):
             hist = normalize(run_replicas(rc)[1], rc.norm_region)
             sel = np.abs(hist.bin_centers) <= 0.5
             model = g2_34(hist.bin_centers[sel], strong_dephasing, bs, pol)
-            z = (hist.normalized[sel] - model) * hist.normalization_constant / np.sqrt(np.maximum(hist.counts[sel], 1))
+            z = (hist.normalized[sel] - model) / norm_sigma(hist)[sel]
             assert np.mean(np.abs(z) < 3) >= 0.95, (mode_match, pol)
             assert abs(z.sum()) / math.sqrt(len(z)) < 4, (mode_match, pol)
 
@@ -179,6 +182,9 @@ def test_overlap_sq(molecule):
     no_deph = EmitterParams(gamma_spon=1 / 3.4, gamma_pure=0.0, w_p=6.5)
     assert overlap_sq(4.6, no_deph) == pytest.approx(OVERLAP_B_NODEPH_AT_46, abs=1e-12)
     assert overlap_sq(4.6, molecule) == pytest.approx(g1(4.6, molecule) ** 2, rel=1e-14)
+    tau = np.linspace(-10, 10, 161)
+    for p in (molecule, no_deph):
+        np.testing.assert_allclose(overlap_sq(np.abs(tau), p), g1(tau, p) ** 2, rtol=0, atol=1e-14)
     with pytest.raises(ValueError):
         overlap_sq(-1.0, molecule)
 

@@ -104,8 +104,7 @@ def test_antibunching_and_source_model(strong_dephasing):
     hist = empirical_g2(st, 0.02, 1.0)
     assert hist.normalized[0] < 0.1
     model = g2_source(hist.bin_centers, strong_dephasing)
-    sigma = np.sqrt(np.maximum(hist.counts, 1)) / hist.normalization_constant
-    z = (hist.normalized - model) / sigma
+    z = (hist.normalized - model) / histogram.norm_sigma(hist)
     assert np.mean(np.abs(z) < 3) >= 0.9
 
 
