@@ -68,40 +68,24 @@ class DetectionConfig:
 def _dead_time_filter(times, dead):
     """Drop the clicks that come within `dead` of the last kept click.
 
-    A click at t is kept when t - last >= dead.  The test stays in this form
-    rather than t >= last + dead: the two round differently, and the other
-    form would keep other clicks at pinned seeds.  times must be sorted.
+    A click at t is kept when t >= last + dead (non-paralyzable dead time).
+    times must be sorted.
     """
     n = len(times)
     if dead <= 0 or n == 0:
         return times
     t = times
-    # nxt[i]: first click a kept click i lets through.  searchsorted tests
-    # t >= t_i + dead, which rounds differently from t - t_i >= dead, so nxt
-    # is moved to the first click of the exact predicate; the predicate is
-    # monotone in the index and equal times share it, so it steps tie groups
+    # nxt[i]: the first click that a kept click i lets through (where t_i +
+    # dead rounds to t_i, the first of t_i's ties, which starts a run)
     nxt = np.searchsorted(t, t + dead, side="left")
-    i = np.flatnonzero(nxt < n)
-    i = i[t[nxt[i]] - t[i] < dead]
-    while len(i):
-        nxt[i] = np.searchsorted(t, t[nxt[i]], side="right")
-        i = i[nxt[i] < n]
-        i = i[t[nxt[i]] - t[i] < dead]
-    i = np.flatnonzero(nxt > 0)
-    i = i[t[nxt[i] - 1] - t[i] >= dead]
-    while len(i):
-        nxt[i] = np.searchsorted(t, t[nxt[i] - 1], side="left")
-        i = i[nxt[i] > 0]
-        i = i[t[nxt[i] - 1] - t[i] >= dead]
-
-    # a click at least `dead` after its predecessor is kept whatever came
-    # before (rounding of t - last is monotone in last); inside each run of
-    # closer clicks the kept ones are the nxt chain from the run's first.
-    # The chains are followed by pointer doubling: after round r every
-    # chain is marked to depth 2**r, so a long run costs log2 rounds
+    # a click at or past its predecessor + dead is kept whatever came before
+    # (last + dead is monotone in last); inside each run of closer clicks
+    # the kept ones are the nxt chain from the run's first.  The chains are
+    # followed by pointer doubling: after round r every chain is marked to
+    # depth 2**r, so a long run costs log2 rounds
     keep = np.zeros(n + 1, dtype=bool)
     keep[0] = True
-    keep[1:n] = np.diff(t) >= dead
+    keep[1:n] = t[1:] >= t[:-1] + dead
     jump = np.append(nxt, n)
     jump[keep[jump]] = n  # a chain ends where the next run starts
     reached = np.flatnonzero(keep)

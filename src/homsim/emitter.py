@@ -52,9 +52,14 @@ def simulate_emission_stream(p: EmitterParams, duration, seed=0) -> PhotonStream
     for equal arguments."""
     if not 0 < duration < math.inf:
         raise ValueError("duration must be positive and finite")
+    mean_wait = mean_cycle_time(p)
+    # the stream's two float64 arrays, 16 bytes a photon, past a 47-bit
+    # address space: refused before any draw, with the flags that set it
+    if 16 * (duration / mean_wait) > 2.0**47:
+        raise ValueError("%.3g expected photons need more than 2**47 bytes; lower --duration-ns, --wp or --gamma-spon"
+                         % (duration / mean_wait))
     rng = np.random.default_rng(seed)
     has_vib = not math.isinf(p.gamma_vib)
-    mean_wait = mean_cycle_time(p)
 
     times_parts = []
     eps_parts = []

@@ -20,35 +20,33 @@ from .histogram import BLOCK, CorrelationHistogram
 from .pipeline import RunConfig, default_run_config
 
 # The run-config schema, one row per key in echo order: where the value
-# lives in a RunConfig (a digit indexes a tuple field), and the word that
-# stands for INSTANTANEOUS ("instantaneous") in the text.
+# lives in a RunConfig (a digit indexes a tuple field).  In the text, the
+# word "instantaneous" stands for INSTANTANEOUS in any float field.
 CONFIG_FIELDS = {
-    "gamma_spon": ("emitter.gamma_spon", None),
-    "gamma_pure": ("emitter.gamma_pure", None),
-    "w_p": ("emitter.w_p", None),
-    "gamma_vib": ("emitter.gamma_vib", "instantaneous"),
-    "delta_t": ("interferometer.delta_t", None),
-    "theta": ("interferometer.bs.theta", None),
-    "mode_match": ("interferometer.bs.mode_match", None),
-    "pol_mode": ("interferometer.pol_mode", None),
-    "pairing": ("interferometer.pairing", None),
-    "irf_fwhm_pair": ("detection.irf_fwhm_pair", None),
-    "efficiency_3": ("detection.efficiency.0", None),
-    "efficiency_4": ("detection.efficiency.1", None),
-    "dead_time_3": ("detection.dead_time.0", None),
-    "dead_time_4": ("detection.dead_time.1", None),
-    "background_fraction": ("detection.background_fraction", None),
-    "tau_min": ("detection.mca_range.0", None),
-    "tau_max": ("detection.mca_range.1", None),
-    "bin_width": ("detection.bin_width", None),
-    "correlation_mode": ("detection.correlation_mode", None),
-    "duration": ("duration", None),
-    "seed": ("seed", None),
-    "norm_lo": ("norm_region.0", None),
-    "norm_hi": ("norm_region.1", None),
+    "gamma_spon": "emitter.gamma_spon",
+    "gamma_pure": "emitter.gamma_pure",
+    "w_p": "emitter.w_p",
+    "gamma_vib": "emitter.gamma_vib",
+    "delta_t": "interferometer.delta_t",
+    "theta": "interferometer.bs.theta",
+    "mode_match": "interferometer.bs.mode_match",
+    "pol_mode": "interferometer.pol_mode",
+    "pairing": "interferometer.pairing",
+    "irf_fwhm_pair": "detection.irf_fwhm_pair",
+    "efficiency_3": "detection.efficiency.0",
+    "efficiency_4": "detection.efficiency.1",
+    "dead_time_3": "detection.dead_time.0",
+    "dead_time_4": "detection.dead_time.1",
+    "background_fraction": "detection.background_fraction",
+    "tau_min": "detection.mca_range.0",
+    "tau_max": "detection.mca_range.1",
+    "bin_width": "detection.bin_width",
+    "correlation_mode": "detection.correlation_mode",
+    "duration": "duration",
+    "seed": "seed",
+    "norm_lo": "norm_region.0",
+    "norm_hi": "norm_region.1",
 }
-
-_SENTINEL_VALUES = {"instantaneous": INSTANTANEOUS}
 
 
 def _field(obj, path):
@@ -57,16 +55,16 @@ def _field(obj, path):
     return obj
 
 
-def _encode(value, sentinel):
-    if sentinel is not None and value == _SENTINEL_VALUES[sentinel]:
-        return sentinel
+def _encode(value):
+    if value == INSTANTANEOUS:
+        return "instantaneous"
     return value if isinstance(value, str) else repr(value)
 
 
-def _decode(text, default, sentinel):
+def _decode(text, default):
     """Parse text with the type of the field's default."""
-    if sentinel is not None and text == sentinel:
-        return _SENTINEL_VALUES[sentinel]
+    if text == "instantaneous" and isinstance(default, float):
+        return INSTANTANEOUS
     return type(default)(text)
 
 
@@ -87,9 +85,7 @@ def _replace(obj, values):
 
 
 def format_config(rc: RunConfig) -> str:
-    return "".join(
-        "%s = %s\n" % (key, _encode(_field(rc, path), sentinel)) for key, (path, sentinel) in CONFIG_FIELDS.items()
-    )
+    return "".join("%s = %s\n" % (key, _encode(_field(rc, path))) for key, path in CONFIG_FIELDS.items())
 
 
 def parse_config_text(text: str) -> dict:
@@ -120,8 +116,8 @@ def build_run_config(mapping: dict) -> RunConfig:
     for key, text in mapping.items():
         if key not in CONFIG_FIELDS:
             raise ValueError("unknown config key %r" % key)
-        path, sentinel = CONFIG_FIELDS[key]
-        values[path] = _decode(text, _field(base, path), sentinel)
+        path = CONFIG_FIELDS[key]
+        values[path] = _decode(text, _field(base, path))
     return _replace(base, values)
 
 

@@ -261,15 +261,17 @@ def test_exit_codes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "gamma_pure" in err and "line 3" in err and "line 1" in err
     # asking for more memory than any machine has is one error line, not a
-    # traceback: 2e12 bins are refused before any edge is built, and 1e16 ns
-    # of photons (22 PiB) lie past the 47-bit address space, so the request
-    # fails before a page is touched
+    # traceback: 2e12 bins are refused before any edge is built, and a photon
+    # stream past 2**47 bytes (22 PiB at 1e16 ns; an overflowing count at
+    # 1e300) is refused before the first draw, with the flags that set it
     huge = tmp_path / "huge.config.txt"
     huge.write_text("tau_min = -1e12\ntau_max = 1e12\nbin_width = 1\n")
-    for flag, value, names in (("--config", str(huge), ("tau_min", "tau_max", "bin_width")),
-                               ("--duration-ns", "1e16", ())):
+    rates = ("--duration-ns", "--wp", "--gamma-spon")
+    for args, names in ((["--config", str(huge)], ("tau_min", "tau_max", "bin_width")),
+                        (["--duration-ns", "1e16"], rates),
+                        (["--gamma-spon", "1e300", "--wp", "1e300", "--duration-ns", "1e300"], rates)):
         capsys.readouterr()
-        assert main(["simulate", flag, value, "--out", str(tmp_path / "bad")]) == 3
+        assert main(["simulate", *args, "--out", str(tmp_path / "bad")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert all(name in err for name in names)

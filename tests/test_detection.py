@@ -14,7 +14,7 @@ import pytest
 from homsim import CorrelationHistogram as Hist
 from homsim import DetectionConfig, default_run_config, make_bin_edges, normalize, run_replicas, tac_mca_histogram
 from homsim import pipeline
-from homsim.detection import apply_detector
+from homsim.detection import _dead_time_filter, apply_detector
 
 
 def _flat_cfg(**kw):
@@ -126,6 +126,10 @@ def test_dead_time_filter():
     out = apply_detector({3: times, 4: times.copy()}, cfg, np.random.default_rng(4), 10.0)
     np.testing.assert_array_equal(out[3], [0.0, 2.5, 5.0])
     np.testing.assert_array_equal(out[4], times)
+    # the law is t >= last + dead in floating point; t - last >= dead rounds
+    # apart from it where a gap lies within one rounding of the dead time
+    np.testing.assert_array_equal(_dead_time_filter(np.array([6.28, 6.74]), 0.46), [6.28, 6.74])
+    np.testing.assert_array_equal(_dead_time_filter(np.array([-4.5, -1.2100000000000002]), 3.29), [-4.5])
 
 
 def test_background_injection():

@@ -194,6 +194,11 @@ def test_config_parse_rules():
     for lo, hi in (("30.0", "20.0"), ("-1.0", "20.0"), ("12.0", "12.0"), ("12.0", "24.0")):
         with pytest.raises(ValueError):
             build_run_config({**shifted, "norm_lo": lo, "norm_hi": hi})
+    # "instantaneous" is a float field's word: an int or str field refuses
+    # it, and a float field that must be finite refuses what it stands for
+    for key in ("seed", "pol_mode", "duration"):
+        with pytest.raises(ValueError):
+            build_run_config({key: "instantaneous"})
 
 
 def test_config_file_roundtrip(tmp_path):

@@ -133,7 +133,7 @@ def _dead_time_loop(times, dead):
     keep = np.zeros(len(times), dtype=bool)
     last = -np.inf
     for i, t in enumerate(times):
-        if t - last >= dead:
+        if t >= last + dead:
             keep[i] = True
             last = t
     return times[keep]
@@ -534,6 +534,8 @@ def test_dead_time_edge_cases():
         (np.full(50, 3.0), 1.0),  # all tied
         (np.arange(0.0, 100.0, 1.0), 1.5),  # one long run of close clicks
         (1e6 + 0.1 * np.arange(200), 0.3),  # lattice where t + dead rounds
+        (np.array([6.28, 6.74]), 0.46),  # t >= last + dead holds, t - last >= dead does not
+        (np.array([-4.5, -1.2100000000000002]), 3.29),  # t - last >= dead holds, t >= last + dead does not
     ]:
         np.testing.assert_array_equal(_dead_time_filter(times, dead), _dead_time_loop(times, dead))
 
